@@ -154,7 +154,6 @@ object BePILite {
     * back substitution). Returns π normalized to ‖π‖₁ = 1.
     */
   def query(index: Index, s: Int): PPRResult = {
-    val t0 = System.nanoTime()
     val g = index.g
     val n = g.n
     val h = index.h
@@ -198,13 +197,10 @@ object BePILite {
     val x = x1
     i = 0
     while (i < h) { x(index.hubs(i)) = x2(i); i += 1 }
-    var sum = 0.0
-    v = 0
-    while (v < n) { sum += x(v); v += 1 }
+    val sum = Common.sum(x)
     require(sum > 0.0, "BePILite produced a non-positive solution mass")
     v = 0
     while (v < n) { x(v) /= sum; v += 1 }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
     PPRResult(x, new Array[Double](n), stats)
   }
 

@@ -11,9 +11,8 @@ final class Stats {
   var edgePushes: Long = 0L
   var pushOps: Long = 0L
   var iterations: Int = 0
-  var millis: Long = 0L
   override def toString: String =
-    s"Stats(edgePushes=$edgePushes, pushOps=$pushOps, iterations=$iterations, millis=$millis)"
+    s"Stats(edgePushes=$edgePushes, pushOps=$pushOps, iterations=$iterations)"
 }
 
 /** Result of a single-source PPR computation.
@@ -23,8 +22,8 @@ final class Stats {
   * @param stats   work counters
   */
 final case class PPRResult(pi: Array[Double], residue: Array[Double], stats: Stats) {
-  def l1Residue: Double = { var t = 0.0; var i = 0; while (i < residue.length) { t += residue(i); i += 1 }; t }
-  def l1Pi: Double = { var t = 0.0; var i = 0; while (i < pi.length) { t += pi(i); i += 1 }; t }
+  def l1Residue: Double = Common.sum(residue)
+  def l1Pi: Double = Common.sum(pi)
 }
 
 /** Optional convergence trace: (cumulative edge pushes, current ℓ1 residue).
@@ -52,6 +51,15 @@ object Common {
 
   /** High-precision ℓ1 threshold: λ = min(1/m, 1e-8) (§8.1). */
   def defaultLambda(m: Long): Double = math.min(1.0 / m, 1e-8)
+
+  /** Left-to-right sum of an array. Every full-array Σπ and Σr of the
+    * solvers uses it, so one array sums to the same bits everywhere.
+    */
+  def sum(a: Array[Double]): Double = {
+    var t = 0.0; var i = 0
+    while (i < a.length) { t += a(i); i += 1 }
+    t
+  }
 
   /** ℓ1 distance between two vectors. */
   def l1Diff(a: Array[Double], b: Array[Double]): Double = {

@@ -1,11 +1,10 @@
 package repro.core
 
-import java.util.Random
 import repro.graph.CSRGraph
 
 /** FORA and FORA+ (§6.1) — the state-of-the-art Approx-SSPPR baseline.
   *
-  * Two phases: (1) FwdPush with r_max = 1/√(m·W), (2) Monte-Carlo refinement:
+  * Two phases: (1) FwdPush with r_max = 1/√(m·W), (2) [[WalkPhase]]:
   * for each node v with leftover residue, W_v = ⌈r(s,v)·W⌉ walks from v, each
   * stopping walk adding r(s,v)/W_v to its stop node (Eq. 13-14). W is the
   * Chernoff count of Eq. (12) with μ = 1/n.
@@ -15,51 +14,19 @@ object Fora {
   /** Index-free FORA. */
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult =
-    runImpl(g, s, eps, alpha, seed, index = None)
+    runImpl(g, s, eps, alpha, seed, index = null)
 
   /** FORA+ — uses a pre-built walk index (built for ε_build ≤ ε to guarantee
     * enough stored walks; any shortfall is topped up with live walks).
     */
   def runIndexed(g: CSRGraph, s: Int, eps: Double, index: WalkIndex,
                  alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult =
-    runImpl(g, s, eps, alpha, seed, index = Some(index))
+    runImpl(g, s, eps, alpha, seed, index)
 
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
-                      seed: Long, index: Option[WalkIndex]): PPRResult = {
-    val t0 = System.nanoTime()
-    val n = g.n
-    val w = math.ceil(Common.walkCountW(n, eps, 1.0 / n)).toLong
-    val rMax = 1.0 / math.sqrt(g.m.toDouble * w)
-    val push = FwdPush.run(g, s, rMax, alpha)
-    val pi = push.pi
-    val r = push.residue
-    val rng = new Random(seed)
-    val stats = push.stats
-    var v = 0
-    while (v < n) {
-      val rv = r(v)
-      if (rv > 0.0) {
-        val wv = math.ceil(rv * w).toLong
-        val inc = rv / wv
-        var k = 0L
-        index match {
-          case Some(idx) =>
-            val stored = idx.countOf(v)
-            while (k < wv) {
-              val u =
-                if (k < stored) idx.endpoint(v, k, g, s, alpha, rng)
-                else MonteCarlo.walk(g, s, v, alpha, rng) // top-up, counted live
-              pi(u) += inc
-              k += 1
-            }
-          case None =>
-            while (k < wv) { pi(MonteCarlo.walk(g, s, v, alpha, rng)) += inc; k += 1 }
-        }
-        stats.pushOps += wv
-      }
-      v += 1
-    }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
-    PPRResult(pi, new Array[Double](n), stats)
+                      seed: Long, index: WalkIndex): PPRResult = {
+    val w = math.ceil(Common.walkCountW(g.n, eps, 1.0 / g.n)).toLong
+    val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)
+    WalkPhase.run(g, s, push, w, alpha, seed, index)
   }
 }

@@ -4,38 +4,10 @@ import repro.graph.CSRGraph
 
 /** First-In-First-Out Forward Push (Algorithm 2) — the "common
   * implementation" of FwdPush whose running time the paper proves to be
-  * O(m·log(1/λ)) with r_max = λ/m (Theorem 4.3).
-  *
-  * Pushes are asynchronous: a push on v uses v's *current* residue, which may
-  * already include mass pushed earlier in the same conceptual iteration.
-  * Active test: r(s,v) > d_v·r_max; a dead end (d_v = 0) is hence active
-  * whenever its residue is positive, and its push forwards the whole (1−α)
-  * share to the source s (§2's conceptual dead-end edge).
+  * O(m·log(1/λ)) with r_max = λ/m (Theorem 4.3). The push loop itself is
+  * [[PushKernel.drain]], run here from the source until no node is active.
   */
 object FwdPush {
-
-  /** Simple int FIFO ring buffer (grows by doubling). */
-  final class IntQueue(initialCapacity: Int = 1024) {
-    private var buf = new Array[Int](math.max(4, initialCapacity))
-    private var head = 0
-    private var count = 0
-    def size: Int = count
-    def isEmpty: Boolean = count == 0
-    def append(x: Int): Unit = {
-      if (count == buf.length) {
-        val nb = new Array[Int](buf.length * 2)
-        var i = 0
-        while (i < count) { nb(i) = buf((head + i) % buf.length); i += 1 }
-        buf = nb; head = 0
-      }
-      buf((head + count) % buf.length) = x
-      count += 1
-    }
-    def pop(): Int = {
-      require(count > 0, "pop on empty queue")
-      val x = buf(head); head = (head + 1) % buf.length; count -= 1; x
-    }
-  }
 
   /** Run Algorithm 2 to completion (no node active w.r.t. r_max).
     *
@@ -46,50 +18,18 @@ object FwdPush {
   def run(g: CSRGraph, s: Int, rMax: Double,
           alpha: Double = Common.DefaultAlpha,
           trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
-    val t0 = System.nanoTime()
     val n = g.n
     val pi = new Array[Double](n)
     val r = new Array[Double](n)
     r(s) = 1.0
     val inQueue = new Array[Boolean](n)
-    val q = new IntQueue(math.min(n, 1 << 16))
+    val q = new PushKernel.IntQueue(math.min(n, 1 << 16))
     q.append(s); inQueue(s) = true
     val stats = new Stats
-    var rsum = 1.0
-    var nextTrace = traceEvery
-    if (trace != null) trace.record(0L, rsum)
-    while (!q.isEmpty) {
-      val v = q.pop(); inQueue(v) = false
-      val rv = r(v)
-      val d = g.outDegree(v)
-      // The pop may be stale (v was appended when active but is not any
-      // more only if r can shrink — it cannot between append and pop), so
-      // a popped node is pushed unconditionally, exactly as in Algorithm 2.
-      pi(v) += alpha * rv
-      rsum -= alpha * rv
-      // Zero v's residue *before* distributing so a self-receive (dead-end
-      // source, or a self loop) is not wiped by the reset.
-      r(v) = 0.0
-      if (d == 0) {
-        r(s) += (1.0 - alpha) * rv
-        stats.edgePushes += 1
-        if (Common.isActive(r(s), g.outDegree(s), rMax) && !inQueue(s)) { q.append(s); inQueue(s) = true }
-      } else {
-        val share = (1.0 - alpha) * rv / d
-        g.foreachOut(v) { u =>
-          r(u) += share
-          if (Common.isActive(r(u), g.outDegree(u), rMax) && !inQueue(u)) { q.append(u); inQueue(u) = true }
-        }
-        stats.edgePushes += d
-      }
-      stats.pushOps += 1
-      if (trace != null && traceEvery > 0 && stats.edgePushes >= nextTrace) {
-        trace.record(stats.edgePushes, rsum)
-        nextTrace += traceEvery
-      }
-    }
+    if (trace != null) trace.record(0L, 1.0)
+    val rsum = PushKernel.drain(g, s, pi, r, q, inQueue, rMax, alpha, stats, 1.0,
+      trace = trace, traceEvery = traceEvery)
     if (trace != null) trace.record(stats.edgePushes, rsum)
-    stats.millis = (System.nanoTime() - t0) / 1000000L
     PPRResult(pi, r, stats)
   }
 
@@ -97,5 +37,5 @@ object FwdPush {
   def runLambda(g: CSRGraph, s: Int, lambda: Double,
                 alpha: Double = Common.DefaultAlpha,
                 trace: Trace = null, traceEvery: Long = 0L): PPRResult =
-    run(g, s, lambda / g.m, alpha, trace, traceEvery)
+    run(g, s, PushKernel.rMaxFor(lambda, g.m), alpha, trace, traceEvery)
 }

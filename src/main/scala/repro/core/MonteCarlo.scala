@@ -39,7 +39,6 @@ object MonteCarlo {
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, mu: Double = Double.NaN,
           seed: Long = 1L): PPRResult = {
-    val t0 = System.nanoTime()
     val n = g.n
     val muEff = if (mu.isNaN) 1.0 / n else mu
     val w = math.ceil(Common.walkCountW(n, eps, muEff)).toLong
@@ -55,7 +54,6 @@ object MonteCarlo {
     }
     stats.edgePushes = steps(0) // walk steps are the unit of work here
     stats.pushOps = w
-    stats.millis = (System.nanoTime() - t0) / 1000000L
     PPRResult(pi, new Array[Double](n), stats)
   }
 }

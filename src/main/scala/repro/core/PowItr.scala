@@ -16,7 +16,6 @@ object PowItr {
 
   def run(g: CSRGraph, s: Int, lambda: Double,
           alpha: Double = Common.DefaultAlpha, trace: Trace = null): PPRResult = {
-    val t0 = System.nanoTime()
     val n = g.n
     val pi = new Array[Double](n)
     var r = new Array[Double](n)
@@ -48,12 +47,9 @@ object PowItr {
       stats.edgePushes += g.m
       stats.iterations += 1
       val tmp = r; r = next; next = tmp
-      rsum = 0.0
-      v = 0
-      while (v < n) { rsum += r(v); v += 1 }
+      rsum = Common.sum(r)
       if (trace != null) trace.record(stats.edgePushes, rsum)
     }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
     PPRResult(pi, r, stats)
   }
 }

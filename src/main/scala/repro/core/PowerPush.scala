@@ -6,7 +6,7 @@ import repro.graph.CSRGraph
   * high-precision contribution, unifying the local and global approaches:
   *
   *  - **Queue phase** (local): FIFO pushes with r_max = λ/m while the active
-  *    set is small — identical to Algorithm 2.
+  *    set is small — Algorithm 2's loop, [[PushKernel.drain]], stopped early.
   *  - **Scan phase** (global): once the queue holds more than `scanThreshold`
   *    (= n/4) nodes, switch to sequential sweeps over the id-sorted node
   *    list / concatenated CSR edge array (cache-friendly), still pushing
@@ -28,48 +28,21 @@ object PowerPush {
           scanThresholdFrac: Double = 0.25,
           refineRMax: Double = Double.NaN,
           trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
-    val t0 = System.nanoTime()
     val n = g.n
     val m = g.m
     val pi = new Array[Double](n)
     val r = new Array[Double](n)
     r(s) = 1.0
-    var rsum = 1.0
     val stats = new Stats
     val scanThreshold = math.max(1, (n * scanThresholdFrac).toInt)
-    val rMax = lambda / m
-    var nextTrace = traceEvery
-    if (trace != null) trace.record(0L, rsum)
+    if (trace != null) trace.record(0L, 1.0)
 
     // ---- Queue phase (Algorithm 3, lines 7-13) ----
     val inQueue = new Array[Boolean](n)
-    val q = new FwdPush.IntQueue(math.min(n, 1 << 16))
+    val q = new PushKernel.IntQueue(math.min(n, 1 << 16))
     q.append(s); inQueue(s) = true
-    while (!q.isEmpty && q.size <= scanThreshold && rsum > lambda) {
-      val v = q.pop(); inQueue(v) = false
-      val rv = r(v)
-      val d = g.outDegree(v)
-      pi(v) += alpha * rv
-      rsum -= alpha * rv
-      r(v) = 0.0
-      if (d == 0) {
-        r(s) += (1.0 - alpha) * rv
-        stats.edgePushes += 1
-        if (Common.isActive(r(s), g.outDegree(s), rMax) && !inQueue(s)) { q.append(s); inQueue(s) = true }
-      } else {
-        val share = (1.0 - alpha) * rv / d
-        g.foreachOut(v) { u =>
-          r(u) += share
-          if (Common.isActive(r(u), g.outDegree(u), rMax) && !inQueue(u)) { q.append(u); inQueue(u) = true }
-        }
-        stats.edgePushes += d
-      }
-      stats.pushOps += 1
-      if (trace != null && traceEvery > 0 && stats.edgePushes >= nextTrace) {
-        trace.record(stats.edgePushes, rsum)
-        nextTrace += traceEvery
-      }
-    }
+    var rsum = PushKernel.drain(g, s, pi, r, q, inQueue, PushKernel.rMaxFor(lambda, m), alpha, stats, 1.0,
+      cap = scanThreshold, stopSum = lambda, trace = trace, traceEvery = traceEvery)
 
     // ---- Scan phase with dynamic threshold (lines 14-24) ----
     if (rsum > lambda) {
@@ -77,10 +50,10 @@ object PowerPush {
       while (i <= epochNum) {
         // λ^(i/epochNum) decreases from λ^(1/8) down to λ as i → epochNum.
         val epochLambda = math.pow(lambda, i.toDouble / epochNum)
-        val rMaxEpoch = epochLambda / m
+        val rMaxEpoch = PushKernel.rMaxFor(epochLambda, m)
         while (rsum > epochLambda) {
           sweep(g, s, pi, r, rMaxEpoch, alpha, stats)
-          rsum = sum(r)
+          rsum = Common.sum(r)
           if (trace != null) trace.record(stats.edgePushes, rsum)
         }
         i += 1
@@ -90,10 +63,9 @@ object PowerPush {
     // ---- Optional O(m) refinement to a per-node residue cap (Lemma 4.5) ----
     if (!refineRMax.isNaN) {
       refineToRMax(g, s, pi, r, refineRMax, alpha, stats)
-      if (trace != null) trace.record(stats.edgePushes, sum(r))
+      if (trace != null) trace.record(stats.edgePushes, Common.sum(r))
     }
 
-    stats.millis = (System.nanoTime() - t0) / 1000000L
     PPRResult(pi, r, stats)
   }
 
@@ -129,37 +101,13 @@ object PowerPush {
                    rMax: Double, alpha: Double, stats: Stats): Unit = {
     val n = g.n
     val inQueue = new Array[Boolean](n)
-    val q = new FwdPush.IntQueue(1024)
+    val q = new PushKernel.IntQueue(1024)
     var v = 0
     while (v < n) {
       if (Common.isActive(r(v), g.outDegree(v), rMax)) { q.append(v); inQueue(v) = true }
       v += 1
     }
-    while (!q.isEmpty) {
-      val w = q.pop(); inQueue(w) = false
-      val rw = r(w)
-      val d = g.outDegree(w)
-      pi(w) += alpha * rw
-      r(w) = 0.0
-      if (d == 0) {
-        r(s) += (1.0 - alpha) * rw
-        stats.edgePushes += 1
-        if (Common.isActive(r(s), g.outDegree(s), rMax) && !inQueue(s)) { q.append(s); inQueue(s) = true }
-      } else {
-        val share = (1.0 - alpha) * rw / d
-        g.foreachOut(w) { u =>
-          r(u) += share
-          if (Common.isActive(r(u), g.outDegree(u), rMax) && !inQueue(u)) { q.append(u); inQueue(u) = true }
-        }
-        stats.edgePushes += d
-      }
-      stats.pushOps += 1
-    }
-  }
-
-  private def sum(r: Array[Double]): Double = {
-    var t = 0.0; var i = 0
-    while (i < r.length) { t += r(i); i += 1 }
-    t
+    // Σr is not tracked here: the drain's running sum is discarded.
+    PushKernel.drain(g, s, pi, r, q, inQueue, rMax, alpha, stats, 0.0)
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.Random
 import repro.graph.CSRGraph
 
 /** ResAcc-lite — our rendition of ResAcc [Lin et al., ICDE 2020], the
@@ -20,44 +19,24 @@ object ResAcc {
 
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult = {
-    val t0 = System.nanoTime()
     val n = g.n
     val w = math.ceil(Common.walkCountW(n, eps, 1.0 / n)).toLong
-    val rMax = 1.0 / math.sqrt(g.m.toDouble * w)
-    val push = FwdPush.run(g, s, rMax, alpha)
+    val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)
     val pi = push.pi
     val r = push.residue
-    val stats = push.stats
 
     // Accumulated residue sitting at the source: its PPR contribution is
     // r(s)·π_s; approximate π_s by the normalized deterministic estimate.
     val rs = r(s)
     if (rs > 0.0) {
-      var piSum = 0.0
-      var i = 0
-      while (i < n) { piSum += pi(i); i += 1 }
+      val piSum = Common.sum(pi)
       if (piSum > 0.0) {
         val scale = rs / piSum
-        i = 0
+        var i = 0
         while (i < n) { pi(i) += scale * pi(i); i += 1 }
         r(s) = 0.0
       }
     }
-
-    val rng = new Random(seed)
-    var v = 0
-    while (v < n) {
-      val rv = r(v)
-      if (rv > 0.0) {
-        val wv = math.ceil(rv * w).toLong
-        val inc = rv / wv
-        var k = 0L
-        while (k < wv) { pi(MonteCarlo.walk(g, s, v, alpha, rng)) += inc; k += 1 }
-        stats.pushOps += wv
-      }
-      v += 1
-    }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
-    PPRResult(pi, new Array[Double](n), stats)
+    WalkPhase.run(g, s, push, w, alpha, seed, index = null)
   }
 }

@@ -41,7 +41,6 @@ object SimFwdPush {
 
   def run(g: CSRGraph, s: Int, lambda: Double,
           alpha: Double = Common.DefaultAlpha, trace: Trace = null): PPRResult = {
-    val t0 = System.nanoTime()
     val pi = new Array[Double](g.n)
     var r = new Array[Double](g.n)
     r(s) = 1.0
@@ -50,12 +49,9 @@ object SimFwdPush {
     if (trace != null) trace.record(0L, rsum)
     while (rsum > lambda) {
       r = step(g, s, r, pi, alpha, stats)
-      rsum = 0.0
-      var i = 0
-      while (i < g.n) { rsum += r(i); i += 1 }
+      rsum = Common.sum(r)
       if (trace != null) trace.record(stats.edgePushes, rsum)
     }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
     PPRResult(pi, r, stats)
   }
 }

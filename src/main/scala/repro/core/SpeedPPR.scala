@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.Random
 import repro.graph.CSRGraph
 
 /** SpeedPPR (Algorithm 4) — the paper's Approx-SSPPR contribution.
@@ -16,51 +15,19 @@ object SpeedPPR {
 
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult =
-    runImpl(g, s, eps, alpha, seed, index = None)
+    runImpl(g, s, eps, alpha, seed, index = null)
 
   /** Index version: consumes the ε-independent d_v-walks-per-node index. */
   def runIndexed(g: CSRGraph, s: Int, eps: Double, index: WalkIndex,
                  alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult =
-    runImpl(g, s, eps, alpha, seed, index = Some(index))
+    runImpl(g, s, eps, alpha, seed, index)
 
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
-                      seed: Long, index: Option[WalkIndex]): PPRResult = {
-    val t0 = System.nanoTime()
-    val n = g.n
-    val w = math.ceil(Common.walkCountW(n, eps, 1.0 / n)).toLong
-    val rMax = 1.0 / w
-    val lambda = g.m.toDouble / w
-    // PowerPush with the built-in refinement enforcing r(s,v) ≤ d_v / W.
-    val push = PowerPush.run(g, s, lambda, alpha, refineRMax = rMax)
-    val pi = push.pi
-    val r = push.residue
-    val rng = new Random(seed)
-    val stats = push.stats
-    var v = 0
-    while (v < n) {
-      val rv = r(v)
-      if (rv > 0.0) {
-        val wv = math.ceil(rv * w).toLong
-        val inc = rv / wv
-        var k = 0L
-        index match {
-          case Some(idx) =>
-            val stored = idx.countOf(v)
-            while (k < wv) {
-              val u =
-                if (k < stored) idx.endpoint(v, k, g, s, alpha, rng)
-                else MonteCarlo.walk(g, s, v, alpha, rng) // only dead ends overflow
-              pi(u) += inc
-              k += 1
-            }
-          case None =>
-            while (k < wv) { pi(MonteCarlo.walk(g, s, v, alpha, rng)) += inc; k += 1 }
-        }
-        stats.pushOps += wv
-      }
-      v += 1
-    }
-    stats.millis = (System.nanoTime() - t0) / 1000000L
-    PPRResult(pi, new Array[Double](n), stats)
+                      seed: Long, index: WalkIndex): PPRResult = {
+    val w = math.ceil(Common.walkCountW(g.n, eps, 1.0 / g.n)).toLong
+    // PowerPush with the built-in refinement enforcing r(s,v) ≤ d_v / W, so
+    // with the index only dead ends need live top-up walks.
+    val push = PowerPush.run(g, s, g.m.toDouble / w, alpha, refineRMax = 1.0 / w)
+    WalkPhase.run(g, s, push, w, alpha, seed, index)
   }
 }

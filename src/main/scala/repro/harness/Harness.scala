@@ -119,9 +119,7 @@ object Harness {
 
   def table2(): (String, Seq[IndexReport]) = {
     val reports = bundles.map { b =>
-      val t0 = System.nanoTime()
       val (bepi, fora, speed) = indexes(b)
-      val _ = (System.nanoTime() - t0) // build time measured per index below
       val (_, foraSec) = timeSec(WalkIndex.buildFora(b.g, eps = 0.1, Alpha, seed = 7))
       val (_, speedSec) = timeSec(WalkIndex.buildSpeedPPR(b.g, Alpha, seed = 7))
       IndexReport(b.ds.name, bepi.sizeBytes, bepi.buildMillis / 1000.0,

@@ -88,6 +88,23 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(res.stats.pushOps < 5000)
   }
 
+  test("edgeless single-node graph: every solver terminates within lambda") {
+    // r_max = λ/m would be ∞ here, leaving the dead-end source inactive
+    // with Σr = 0.8 > λ.
+    val g = CSRGraph.fromEdges(1, Nil)
+    val lambda = 1e-8
+    solvers.foreach { case (name, run) =>
+      var res: PPRResult = null
+      // A daemon thread with a join timeout turns a hang into a failure.
+      val t = new Thread(() => res = run(g, 0, lambda))
+      t.setDaemon(true)
+      t.start()
+      t.join(10000L)
+      assert(!t.isAlive, s"$name did not terminate")
+      assert(res.pi(0) >= 1.0 - lambda, s"$name pi(0) = ${res.pi(0)}")
+    }
+  }
+
   test("isActive semantics") {
     assert(Common.isActive(0.5, 2, 0.1))
     assert(!Common.isActive(0.2, 2, 0.1))

@@ -53,6 +53,15 @@ class ForaSpec extends AnyFunSuite {
     assert(math.abs(res.l1Pi - 1.0) < 1e-9)
   }
 
+  test("an index with no stored walks gives the live-walk estimate bit for bit") {
+    val g = GraphGen.randomGraph(80, 4.0, seed = 88)
+    val empty = WalkIndex.build(g, _ => 0)
+    val live = Fora.run(g, 0, 0.3, alpha, seed = 11)
+    val indexed = Fora.runIndexed(g, 0, 0.3, empty, alpha, seed = 11)
+    assert(live.pi.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+      indexed.pi.toSeq.map(java.lang.Double.doubleToRawLongBits))
+  }
+
   test("deterministic given seed") {
     val g = GraphGen.randomGraph(50, 3.0, seed = 86)
     val a = Fora.run(g, 0, 0.4, alpha, seed = 8).pi

@@ -95,7 +95,7 @@ class FwdPushSpec extends AnyFunSuite {
   }
 
   test("IntQueue FIFO semantics with growth") {
-    val q = new FwdPush.IntQueue(2)
+    val q = new PushKernel.IntQueue(2)
     (1 to 100).foreach(q.append)
     (1 to 50).foreach(i => assert(q.pop() == i))
     (101 to 150).foreach(q.append)

@@ -84,6 +84,37 @@ class PowerPushSpec extends AnyFunSuite {
     assert(Common.l1Diff(res.pi, exact) <= 1e-12)
   }
 
+  private def bits(a: Array[Double]) = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  test("traceEvery = 1 records one point per queue-phase push, per sweep and after refinement") {
+    val g = GraphGen.scaleFree(500, 5.0, seed = 71)
+    val lambda = 1e-8
+    // epochNum = 0 skips the scan phase, leaving the queue phase's counts.
+    val queue = PowerPush.run(g, 0, lambda, alpha, epochNum = 0).stats
+    Seq(Double.NaN, 1e-9).foreach { refine =>
+      val trace = new Trace
+      val st = PowerPush.run(g, 0, lambda, alpha, refineRMax = refine, trace = trace, traceEvery = 1L).stats
+      assert(queue.pushOps > 0 && st.iterations > 0)
+      val refinePoint = if (refine.isNaN) 0 else 1
+      assert(trace.points.length == 1 + queue.pushOps + st.iterations + refinePoint)
+      assert(trace.points(queue.pushOps.toInt)._1 == queue.edgePushes)
+    }
+  }
+
+  test("refineRMax is bit-identical to run followed by refineToRMax") {
+    val g = GraphGen.scaleFree(500, 5.0, seed = 72)
+    val rMax = 1e-6
+    val full = PowerPush.run(g, 3, g.m * rMax, alpha, refineRMax = rMax)
+    val split = PowerPush.run(g, 3, g.m * rMax, alpha)
+    val unrefinedOps = split.stats.pushOps
+    PowerPush.refineToRMax(g, 3, split.pi, split.residue, rMax, alpha, split.stats)
+    assert(split.stats.pushOps > unrefinedOps, "refinement pushed nothing")
+    assert(bits(full.pi) == bits(split.pi))
+    assert(bits(full.residue) == bits(split.residue))
+    assert((full.stats.edgePushes, full.stats.pushOps, full.stats.iterations) ==
+      (split.stats.edgePushes, split.stats.pushOps, split.stats.iterations))
+  }
+
   test("trace records monotonically non-increasing residue sums") {
     val g = GraphGen.scaleFree(500, 5.0, seed = 70)
     val trace = new Trace

@@ -76,6 +76,15 @@ class SpeedPPRSpec extends AnyFunSuite {
     assert(a.toSeq == b.toSeq)
   }
 
+  test("an index with no stored walks gives the live-walk estimate bit for bit") {
+    val g = GraphGen.randomGraph(80, 4.0, seed = 99)
+    val empty = WalkIndex.build(g, _ => 0)
+    val live = SpeedPPR.run(g, 0, 0.3, alpha, seed = 10)
+    val indexed = SpeedPPR.runIndexed(g, 0, 0.3, empty, alpha, seed = 10)
+    assert(live.pi.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+      indexed.pi.toSeq.map(java.lang.Double.doubleToRawLongBits))
+  }
+
   test("handles dead ends") {
     val g = GraphGen.randomGraph(70, 3.0, seed = 98)
     assert(g.deadEnds.nonEmpty)
