@@ -72,4 +72,10 @@ object Common {
   /** Chernoff walk count W from Eq. (12), with μ = 1/n by convention. */
   def walkCountW(n: Int, eps: Double, mu: Double): Double =
     2.0 * (2.0 * eps / 3.0 + 2.0) * math.log(n) / (eps * eps * mu)
+
+  /** The number of walks the solvers issue: ⌈W⌉, but at least 1, since
+    * W = 0 on a one-node graph (ln 1 = 0) would leave the residue unspent.
+    */
+  def walkCount(n: Int, eps: Double, mu: Double): Long =
+    math.max(1L, math.ceil(walkCountW(n, eps, mu)).toLong)
 }

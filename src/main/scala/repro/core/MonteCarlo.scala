@@ -1,9 +1,9 @@
 package repro.core
 
-import java.util.Random
+import java.util.SplittableRandom
 import repro.graph.CSRGraph
 
-/** α-random-walk engine and the plain Monte-Carlo Approx-SSPPR baseline
+/** One α-random walk, and the plain Monte-Carlo Approx-SSPPR baseline
   * (§6.1): W independent walks from s; π̂(s,v) = f(s,v)/W.
   */
 object MonteCarlo {
@@ -12,9 +12,10 @@ object MonteCarlo {
     *
     * Semantics per §2: at the current node, stop with probability α; else
     * move uniformly to an out-neighbor, or jump back to the *query source* s
-    * at a dead end. `start` may differ from `s` (FORA/SpeedPPR phase 2).
+    * at a dead end. `start` may differ from `s`. [[WalkPhase]] advances its
+    * walks with the same rule, several at a time.
     */
-  def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: Random): Int = {
+  def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: SplittableRandom): Int = {
     var v = start
     while (rng.nextDouble() >= alpha) {
       val d = g.outDegree(v)
@@ -23,37 +24,16 @@ object MonteCarlo {
     v
   }
 
-  /** Walk counter for cost accounting: same as [[walk]] but also counts steps. */
-  def walkCounted(g: CSRGraph, s: Int, start: Int, alpha: Double,
-                  rng: Random, steps: Array[Long]): Int = {
-    var v = start
-    while (rng.nextDouble() >= alpha) {
-      val d = g.outDegree(v)
-      v = if (d == 0) s else g.edges(g.offset(v) + rng.nextInt(d))
-      steps(0) += 1
-    }
-    v
-  }
-
-  /** Plain Monte-Carlo Approx-SSPPR: W from Eq. (12) with μ = 1/n. */
+  /** Plain Monte-Carlo Approx-SSPPR: the walk phase on the residue vector
+    * e_s, i.e. W walks of weight 1/W from s, with W from Eq. (12).
+    */
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, mu: Double = Double.NaN,
           seed: Long = 1L): PPRResult = {
-    val n = g.n
-    val muEff = if (mu.isNaN) 1.0 / n else mu
-    val w = math.ceil(Common.walkCountW(n, eps, muEff)).toLong
-    val rng = new Random(seed)
-    val pi = new Array[Double](n)
-    val inc = 1.0 / w
-    var i = 0L
-    val stats = new Stats
-    val steps = new Array[Long](1)
-    while (i < w) {
-      pi(walkCounted(g, s, s, alpha, rng, steps)) += inc
-      i += 1
-    }
-    stats.edgePushes = steps(0) // walk steps are the unit of work here
-    stats.pushOps = w
-    PPRResult(pi, new Array[Double](n), stats)
+    val residue = new Array[Double](g.n)
+    residue(s) = 1.0
+    val w = Common.walkCount(g.n, eps, if (mu.isNaN) 1.0 / g.n else mu)
+    val init = PPRResult(new Array[Double](g.n), residue, new Stats)
+    WalkPhase.run(g, s, init, w, alpha, seed, index = null)
   }
 }

@@ -20,7 +20,7 @@ object ResAcc {
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult = {
     val n = g.n
-    val w = math.ceil(Common.walkCountW(n, eps, 1.0 / n)).toLong
+    val w = Common.walkCount(n, eps, 1.0 / n)
     val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)
     val pi = push.pi
     val r = push.residue

@@ -24,10 +24,10 @@ object SpeedPPR {
 
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
                       seed: Long, index: WalkIndex): PPRResult = {
-    val w = math.ceil(Common.walkCountW(g.n, eps, 1.0 / g.n)).toLong
+    val w = Common.walkCount(g.n, eps, 1.0 / g.n)
     // PowerPush with the built-in refinement enforcing r(s,v) ≤ d_v / W, so
     // with the index only dead ends need live top-up walks.
-    val push = PowerPush.run(g, s, g.m.toDouble / w, alpha, refineRMax = 1.0 / w)
+    val push = PowerPush.run(g, s, math.max(g.m, 1).toDouble / w, alpha, refineRMax = 1.0 / w)
     WalkPhase.run(g, s, push, w, alpha, seed, index)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.Random
+import java.util.SplittableRandom
 import repro.graph.CSRGraph
 
 /** Pre-generated α-random-walk endpoints — the index structure behind FORA+
@@ -26,7 +26,7 @@ final class WalkIndex(val offsets: Array[Long], val endpoints: Array[Int]) {
   /** Resolve the k-th stored walk of v (k < countOf(v)) for query source s:
     * finishes marker walks live from s with `rng`.
     */
-  def endpoint(v: Int, k: Long, g: CSRGraph, s: Int, alpha: Double, rng: Random): Int = {
+  def endpoint(v: Int, k: Long, g: CSRGraph, s: Int, alpha: Double, rng: SplittableRandom): Int = {
     val e = endpoints((offsets(v) + k).toInt)
     if (e >= 0) e else MonteCarlo.walk(g, s, s, alpha, rng)
   }
@@ -37,7 +37,7 @@ object WalkIndex {
   /** Walk from `start` recording either the stop node or `~deadEnd` if the
     * walk leaves a dead end (source-dependent continuation deferred).
     */
-  private def indexWalk(g: CSRGraph, start: Int, alpha: Double, rng: Random): Int = {
+  private def indexWalk(g: CSRGraph, start: Int, alpha: Double, rng: SplittableRandom): Int = {
     var v = start
     while (true) {
       if (rng.nextDouble() < alpha) return v
@@ -55,7 +55,7 @@ object WalkIndex {
     */
   def build(g: CSRGraph, walksFor: Int => Int,
             alpha: Double = Common.DefaultAlpha, seed: Long = 99L): WalkIndex = {
-    val rng = new Random(seed)
+    val rng = new SplittableRandom(seed)
     val offsets = new Array[Long](g.n + 1)
     var v = 0
     while (v < g.n) { offsets(v + 1) = offsets(v) + math.max(0, walksFor(v)); v += 1 }

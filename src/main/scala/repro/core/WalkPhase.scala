@@ -1,20 +1,29 @@
 package repro.core
 
-import java.util.Random
+import java.util.SplittableRandom
 import repro.graph.CSRGraph
 
 /** The Monte-Carlo phase of the two-phase framework (Eq. 13-14), shared by
-  * FORA(+), ResAcc and SpeedPPR(-Index): every node v with leftover residue
-  * issues W_v = ⌈r(s,v)·W⌉ α-walks, each adding r(s,v)/W_v to the node it
-  * stops at. W is the Chernoff count of Eq. (12) with μ = 1/n.
+  * FORA(+), ResAcc, SpeedPPR(-Index) and plain Monte-Carlo: every node v with
+  * leftover residue issues W_v = ⌈r(s,v)·W⌉ α-walks, each adding r(s,v)/W_v
+  * to the node it stops at. W is the Chernoff count of Eq. (12) with μ = 1/n.
   */
 object WalkPhase {
 
-  /** Consume the residues of `push` into its estimate, visiting nodes in id
-    * order with one `Random(seed)`, and add each W_v to `pushOps`.
+  /** Live walks kept in flight at once. Each step of a walk is a random read
+    * of the CSR arrays that the next step depends on; advancing independent
+    * walks round-robin lets the CPU overlap those cache misses.
+    */
+  private final val Lanes = 16
+
+  /** Consume the residues of `push` into its estimate and add each W_v to
+    * `pushOps`. Walks are issued in node-id order, all drawing from one
+    * `SplittableRandom(seed)`; up to [[Lanes]] live walks advance one step
+    * per round, and a lane whose walk stops takes the next pending walk.
     *
     * @param index stored walks, or null for none: v's first `countOf(v)`
-    *              walks are read from it, the rest are walked live
+    *              walks are read from it where they are issued, the rest are
+    *              walked live
     * @return the estimate with an all-zero residue vector
     */
   def run(g: CSRGraph, s: Int, push: PPRResult, w: Long, alpha: Double,
@@ -22,25 +31,55 @@ object WalkPhase {
     val pi = push.pi
     val r = push.residue
     val stats = push.stats
-    val rng = new Random(seed)
-    var v = 0
-    while (v < g.n) {
-      val rv = r(v)
-      if (rv > 0.0) {
-        val wv = math.ceil(rv * w).toLong
-        val inc = rv / wv
-        val stored = if (index == null) 0L else index.countOf(v)
-        var k = 0L
-        while (k < wv) {
-          val u =
-            if (k < stored) index.endpoint(v, k, g, s, alpha, rng)
-            else MonteCarlo.walk(g, s, v, alpha, rng)
-          pi(u) += inc
+    val offset = g.offset
+    val edges = g.edges
+    val rng = new SplittableRandom(seed)
+    // Lane i holds a walk at node at(i) carrying weight(i); lanes 0 until
+    // live are in flight.
+    val at = new Array[Int](Lanes)
+    val weight = new Array[Double](Lanes)
+    var live = 0
+    // The pending walks: k of node cur's wv walks are issued, the first
+    // `stored` from the index; nodes from next on are not yet visited.
+    var next = 0
+    var cur = 0
+    var wv, k, stored = 0L
+    var inc = 0.0
+    var pending = true
+    while (pending || live > 0) {
+      while (pending && live < Lanes) {
+        if (k < wv) {
+          if (k < stored) pi(index.endpoint(cur, k, g, s, alpha, rng)) += inc
+          else { at(live) = cur; weight(live) = inc; live += 1 }
           k += 1
-        }
-        stats.pushOps += wv
+        } else if (next < g.n) {
+          val rv = r(next)
+          if (rv > 0.0) {
+            cur = next
+            wv = math.ceil(rv * w).toLong
+            inc = rv / wv
+            stored = if (index == null) 0L else index.countOf(cur)
+            k = 0L
+            stats.pushOps += wv
+          }
+          next += 1
+        } else pending = false
       }
-      v += 1
+      var i = 0
+      while (i < live) {
+        val u = at(i)
+        if (rng.nextDouble() < alpha) {
+          pi(u) += weight(i)
+          live -= 1
+          at(i) = at(live)
+          weight(i) = weight(live)
+        } else {
+          val o = offset(u)
+          val d = offset(u + 1) - o
+          at(i) = if (d == 0) s else edges(o + rng.nextInt(d))
+          i += 1
+        }
+      }
     }
     PPRResult(pi, new Array[Double](g.n), stats)
   }

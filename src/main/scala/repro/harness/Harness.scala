@@ -59,6 +59,16 @@ object Harness {
     (out, (System.nanoTime() - t0) / 1e9)
   }
 
+  /** One untimed warm-up run on the first source (JIT), then the median
+    * time over all of `b.sources` — a single GC/compile hiccup must not
+    * decide a table. Returns the warm-up's result with the median.
+    */
+  private def medianSec[T](b: Bundle)(run: Int => T): (T, Double) = {
+    val first = run(b.sources.head)
+    val times = b.sources.map(s => timeSec(run(s))._2).sorted
+    (first, times(times.size / 2))
+  }
+
   def fmt(d: Double): String =
     if (d == 0.0) "0"
     else if (math.abs(d) >= 100) f"$d%.0f"
@@ -146,13 +156,7 @@ object Harness {
   def fig4Table(): (String, Seq[HPReport]) = {
     val reports = bundles.map { b =>
       val (bepiIdx, _, _) = indexes(b)
-      // One untimed warm-up per algorithm (JIT), then the median over the
-      // query sources — a single GC/compile hiccup must not decide a table.
-      def med(run: Int => Unit): Double = {
-        run(b.sources.head)
-        val times = b.sources.map(s => timeSec(run(s))._2).sorted
-        times(times.size / 2)
-      }
+      def med(run: Int => Unit): Double = medianSec(b)(run)._2
       val tPow  = med(s => PowItr.run(b.g, s, b.lambda, Alpha))
       val tFifo = med(s => FwdPush.runLambda(b.g, s, b.lambda, Alpha))
       val tPP   = med(s => PowerPush.run(b.g, s, b.lambda, Alpha))
@@ -199,28 +203,28 @@ object Harness {
   // ------------------------------------------------------------------
   final case class ApproxCell(algo: String, eps: Double, sec: Double, l1: Double)
 
+  /** Per dataset and ε, each algorithm's median query time over the
+    * sources (after a warm-up) and the ℓ1 error of its answer for the first
+    * source with walk seed 5.
+    */
   lazy val approxResults: Seq[(String, Seq[ApproxCell])] = {
     val epss = Seq(0.1, 0.2, 0.3, 0.4, 0.5)
     bundles.map { b =>
-      val s = b.sources.head
-      val truth = groundTruth(b, s)
+      val truth = groundTruth(b, b.sources.head)
       val (_, foraIdx, speedIdx) = indexes(b)
-      def cell(algo: String, eps: Double)(run: => PPRResult): ApproxCell = {
-        val (res, sec) = timeSec(run)
+      def cell(algo: String, eps: Double)(run: Int => PPRResult): ApproxCell = {
+        val (res, sec) = medianSec(b)(run)
         ApproxCell(algo, eps, sec, Common.l1Diff(res.pi, truth))
       }
       val cells = epss.flatMap { eps =>
         Seq(
-          cell("FORA", eps)(Fora.run(b.g, s, eps, Alpha, seed = 5)),
-          cell("FORA-Index", eps)(Fora.runIndexed(b.g, s, eps, foraIdx, Alpha, seed = 5)),
-          cell("ResAcc", eps)(ResAcc.run(b.g, s, eps, Alpha, seed = 5)),
-          cell("SpeedPPR", eps)(SpeedPPR.run(b.g, s, eps, Alpha, seed = 5)),
-          cell("SpeedPPR-Index", eps)(SpeedPPR.runIndexed(b.g, s, eps, speedIdx, Alpha, seed = 5)),
+          cell("FORA", eps)(s => Fora.run(b.g, s, eps, Alpha, seed = 5)),
+          cell("FORA-Index", eps)(s => Fora.runIndexed(b.g, s, eps, foraIdx, Alpha, seed = 5)),
+          cell("ResAcc", eps)(s => ResAcc.run(b.g, s, eps, Alpha, seed = 5)),
+          cell("SpeedPPR", eps)(s => SpeedPPR.run(b.g, s, eps, Alpha, seed = 5)),
+          cell("SpeedPPR-Index", eps)(s => SpeedPPR.runIndexed(b.g, s, eps, speedIdx, Alpha, seed = 5)),
         )
-      } :+ {
-        val (res, sec) = timeSec(PowerPush.run(b.g, s, b.lambda, Alpha))
-        ApproxCell("PowerPush(baseline)", Double.NaN, sec, Common.l1Diff(res.pi, truth))
-      }
+      } :+ cell("PowerPush(baseline)", Double.NaN)(s => PowerPush.run(b.g, s, b.lambda, Alpha))
       (b.ds.name, cells)
     }
   }
@@ -233,7 +237,7 @@ object Harness {
         }
       }
     }
-    renderTable("Figure 7 as table: approximate query time (s) vs eps",
+    renderTable("Figure 7 as table: median approximate query time (s) vs eps",
       Seq("dataset", "algorithm", "eps=0.1", "eps=0.2", "eps=0.3", "eps=0.4", "eps=0.5"), rows)
   }
 

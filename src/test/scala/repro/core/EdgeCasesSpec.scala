@@ -90,18 +90,34 @@ class EdgeCasesSpec extends AnyFunSuite {
 
   test("edgeless single-node graph: every solver terminates within lambda") {
     // r_max = λ/m would be ∞ here, leaving the dead-end source inactive
-    // with Σr = 0.8 > λ.
+    // with Σr = 0.8 > λ; and W = ⌈…·ln 1⌉ = 0 walks would leave the walk
+    // solvers' residue unspent.
     val g = CSRGraph.fromEdges(1, Nil)
     val lambda = 1e-8
-    solvers.foreach { case (name, run) =>
+    // A daemon thread with a join timeout turns a hang into a failure.
+    def terminating(name: String)(run: => PPRResult): PPRResult = {
       var res: PPRResult = null
-      // A daemon thread with a join timeout turns a hang into a failure.
-      val t = new Thread(() => res = run(g, 0, lambda))
+      val t = new Thread(() => res = run)
       t.setDaemon(true)
       t.start()
       t.join(10000L)
       assert(!t.isAlive, s"$name did not terminate")
+      res
+    }
+    solvers.foreach { case (name, run) =>
+      val res = terminating(name)(run(g, 0, lambda))
       assert(res.pi(0) >= 1.0 - lambda, s"$name pi(0) = ${res.pi(0)}")
+    }
+    val eps = 0.5
+    Seq[(String, () => PPRResult)](
+      "MonteCarlo"     -> (() => MonteCarlo.run(g, 0, eps, alpha)),
+      "Fora"           -> (() => Fora.run(g, 0, eps, alpha)),
+      "ResAcc"         -> (() => ResAcc.run(g, 0, eps, alpha)),
+      "SpeedPPR"       -> (() => SpeedPPR.run(g, 0, eps, alpha)),
+      "SpeedPPR-Index" -> (() => SpeedPPR.runIndexed(g, 0, eps, WalkIndex.buildSpeedPPR(g, alpha), alpha)),
+    ).foreach { case (name, run) =>
+      val res = terminating(name)(run())
+      assert(math.abs(res.pi(0) - 1.0) <= 1e-9, s"$name pi(0) = ${res.pi(0)}")
     }
   }
 

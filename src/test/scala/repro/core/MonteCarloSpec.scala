@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.Random
+import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
 
@@ -10,7 +10,7 @@ class MonteCarloSpec extends AnyFunSuite {
   test("walk endpoint distribution approximates exact PPR on Fig1") {
     val g = Fig1.graph
     val exact = ExactPPR.solve(g, 0, alpha)
-    val rng = new Random(123)
+    val rng = new SplittableRandom(123)
     val w = 200000
     val counts = new Array[Int](g.n)
     (0 until w).foreach(_ => counts(MonteCarlo.walk(g, 0, 0, alpha, rng)) += 1)
@@ -22,7 +22,7 @@ class MonteCarloSpec extends AnyFunSuite {
 
   test("walk from a dead-end-heavy graph respects the jump-to-source rule") {
     val g = CSRGraph.fromEdges(3, Seq(0 -> 1)) // 1, 2 dead ends
-    val rng = new Random(7)
+    val rng = new SplittableRandom(7)
     val counts = new Array[Int](3)
     (0 until 100000).foreach(_ => counts(MonteCarlo.walk(g, 0, 0, alpha, rng)) += 1)
     assert(counts(2) == 0, "unreachable node must never be an endpoint")
@@ -31,12 +31,13 @@ class MonteCarloSpec extends AnyFunSuite {
   }
 
   test("expected walk length is about 1/alpha - 1 moves") {
-    val g = Fig1.graph
-    val rng = new Random(5)
-    val steps = new Array[Long](1)
+    // On the cycle 0 -> 1 -> ... -> 199 -> 0 a walk from 0 stops at the node
+    // whose id is its number of moves, unless it moves 200 times or more
+    // (probability 0.8^200).
+    val g = CSRGraph.fromEdges(200, (0 until 200).map(v => v -> (v + 1) % 200))
+    val rng = new SplittableRandom(5)
     val w = 100000
-    (0 until w).foreach(_ => MonteCarlo.walkCounted(g, 0, 0, alpha, rng, steps))
-    val avg = steps(0).toDouble / w
+    val avg = (0 until w).map(_ => MonteCarlo.walk(g, 0, 0, alpha, rng).toLong).sum.toDouble / w
     // Number of moves is geometric with success prob α: E = (1-α)/α = 4.
     assert(math.abs(avg - (1 - alpha) / alpha) < 0.1, s"avg moves $avg")
   }

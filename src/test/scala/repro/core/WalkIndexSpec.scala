@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.Random
+import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, ExactPPR, GraphGen}
 
@@ -59,12 +59,12 @@ class WalkIndexSpec extends AnyFunSuite {
     val s = 0
     val walks = 100000
     val idx = WalkIndex.build(g, x => if (x == v) walks else 0, alpha, seed = 77)
-    val rng = new Random(78)
+    val rng = new SplittableRandom(78)
     val counts = new Array[Int](g.n)
     (0L until idx.countOf(v)).foreach(k => counts(idx.endpoint(v, k, g, s, alpha, rng)) += 1)
     // Reference distribution: empirical live walks with the same semantics.
     val ref = new Array[Int](g.n)
-    val rng2 = new Random(79)
+    val rng2 = new SplittableRandom(79)
     (0 until walks).foreach(_ => ref(MonteCarlo.walk(g, s, v, alpha, rng2)) += 1)
     (0 until g.n).foreach { u =>
       assert(math.abs(counts(u) - ref(u)).toDouble / walks < 0.02,
