@@ -154,6 +154,7 @@ object BePILite {
     * back substitution). Returns π normalized to ‖π‖₁ = 1.
     */
   def query(index: Index, s: Int): PPRResult = {
+    Common.requireArgs(index.g.n, s, index.alpha)
     val g = index.g
     val n = g.n
     val h = index.h

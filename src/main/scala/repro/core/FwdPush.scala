@@ -18,6 +18,7 @@ object FwdPush {
   def run(g: CSRGraph, s: Int, rMax: Double,
           alpha: Double = Common.DefaultAlpha,
           trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
+    Common.requireArgs(g.n, s, alpha)
     val n = g.n
     val pi = new Array[Double](n)
     val r = new Array[Double](n)
@@ -27,7 +28,7 @@ object FwdPush {
     q.append(s); inQueue(s) = true
     val stats = new Stats
     if (trace != null) trace.record(0L, 1.0)
-    val rsum = PushKernel.drain(g, s, pi, r, q, inQueue, rMax, alpha, stats, 1.0,
+    val rsum = PushKernel.drain(g, s, pi, r, q, inQueue, rMax, alpha, stats,
       trace = trace, traceEvery = traceEvery)
     if (trace != null) trace.record(stats.edgePushes, rsum)
     PPRResult(pi, r, stats)
@@ -36,6 +37,8 @@ object FwdPush {
   /** Convenience: run with r_max = λ/m, the high-precision setting. */
   def runLambda(g: CSRGraph, s: Int, lambda: Double,
                 alpha: Double = Common.DefaultAlpha,
-                trace: Trace = null, traceEvery: Long = 0L): PPRResult =
+                trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, lambda = lambda)
     run(g, s, PushKernel.rMaxFor(lambda, g.m), alpha, trace, traceEvery)
+  }
 }

@@ -30,6 +30,7 @@ object MonteCarlo {
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, mu: Double = Double.NaN,
           seed: Long = 1L): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, eps = eps)
     val residue = new Array[Double](g.n)
     residue(s) = 1.0
     val w = Common.walkCount(g.n, eps, if (mu.isNaN) 1.0 / g.n else mu)

@@ -16,6 +16,7 @@ object PowItr {
 
   def run(g: CSRGraph, s: Int, lambda: Double,
           alpha: Double = Common.DefaultAlpha, trace: Trace = null): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, lambda = lambda)
     val n = g.n
     val pi = new Array[Double](n)
     var r = new Array[Double](n)

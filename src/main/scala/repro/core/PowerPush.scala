@@ -18,7 +18,7 @@ import repro.graph.CSRGraph
   *
   * The returned residues satisfy Σr ≤ λ; pass `refineRMax` to additionally
   * enforce r(s,v) ≤ d_v·r_max for all v (the O(m) post-refinement used by
-  * SpeedPPR, Lemma 4.5).
+  * SpeedPPR, Lemma 4.5), run as further sweeps at that r_max.
   */
 object PowerPush {
 
@@ -28,6 +28,7 @@ object PowerPush {
           scanThresholdFrac: Double = 0.25,
           refineRMax: Double = Double.NaN,
           trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, lambda = lambda)
     val n = g.n
     val m = g.m
     val pi = new Array[Double](n)
@@ -41,7 +42,7 @@ object PowerPush {
     val inQueue = new Array[Boolean](n)
     val q = new PushKernel.IntQueue(math.min(n, 1 << 16))
     q.append(s); inQueue(s) = true
-    var rsum = PushKernel.drain(g, s, pi, r, q, inQueue, PushKernel.rMaxFor(lambda, m), alpha, stats, 1.0,
+    var rsum = PushKernel.drain(g, s, pi, r, q, inQueue, PushKernel.rMaxFor(lambda, m), alpha, stats,
       cap = scanThreshold, stopSum = lambda, trace = trace, traceEvery = traceEvery)
 
     // ---- Scan phase with dynamic threshold (lines 14-24) ----
@@ -52,7 +53,8 @@ object PowerPush {
         val epochLambda = math.pow(lambda, i.toDouble / epochNum)
         val rMaxEpoch = PushKernel.rMaxFor(epochLambda, m)
         while (rsum > epochLambda) {
-          sweep(g, s, pi, r, rMaxEpoch, alpha, stats)
+          sweep(g, s, pi, r, rMaxEpoch, alpha, stats, drainDeadEndSource = false)
+          stats.iterations += 1
           rsum = Common.sum(r)
           if (trace != null) trace.record(stats.edgePushes, rsum)
         }
@@ -70,15 +72,23 @@ object PowerPush {
   }
 
   /** One asynchronous sequential sweep: push every node active w.r.t. rMax,
-    * in id order, updates visible within the sweep.
+    * in id order, updates visible within the sweep. Returns the number of
+    * push ops it made.
+    *
+    * A dead-end source gets its whole (1−α) share back from each push. With
+    * `drainDeadEndSource` it is pushed again on the spot until inactive — the
+    * FIFO's arithmetic — rather than once per O(n) sweep, which would take
+    * ~3 100 sweeps to bring r(s) down to [[Common.TinyResidue]].
     */
   private def sweep(g: CSRGraph, s: Int, pi: Array[Double], r: Array[Double],
-                    rMax: Double, alpha: Double, stats: Stats): Unit = {
+                    rMax: Double, alpha: Double, stats: Stats,
+                    drainDeadEndSource: Boolean): Long = {
+    val ops = stats.pushOps
     var v = 0
     while (v < g.n) {
       val d = g.outDegree(v)
-      val rv = r(v)
-      if (Common.isActive(rv, d, rMax)) {
+      var rv = r(v)
+      while (Common.isActive(rv, d, rMax)) {
         pi(v) += alpha * rv
         r(v) = 0.0
         if (d == 0) { r(s) += (1.0 - alpha) * rv; stats.edgePushes += 1 }
@@ -88,26 +98,22 @@ object PowerPush {
           stats.edgePushes += d
         }
         stats.pushOps += 1
+        rv = if (drainDeadEndSource && v == s && d == 0) r(v) else 0.0
       }
       v += 1
     }
-    stats.iterations += 1
+    stats.pushOps - ops
   }
 
-  /** Queue-driven cleanup until no node is active w.r.t. rMax; O(m) when
-    * starting from Σr ≤ m·rMax (Lemma 4.5). Mutates pi and r in place.
+  /** Sweep at rMax until a sweep pushes nothing, so no node is active w.r.t.
+    * rMax. Lemma 4.5's O(m) bound holds in any push order: starting from
+    * Σr ≤ m·rMax, each push of a non-dead-end v moves more than α·d_v·rMax
+    * into π, so there are fewer than m/α edge pushes. Mutates pi, r and
+    * stats in place; refinement sweeps are not counted in `stats.iterations`.
     */
   def refineToRMax(g: CSRGraph, s: Int, pi: Array[Double], r: Array[Double],
                    rMax: Double, alpha: Double, stats: Stats): Unit = {
-    val n = g.n
-    val inQueue = new Array[Boolean](n)
-    val q = new PushKernel.IntQueue(1024)
-    var v = 0
-    while (v < n) {
-      if (Common.isActive(r(v), g.outDegree(v), rMax)) { q.append(v); inQueue(v) = true }
-      v += 1
-    }
-    // Σr is not tracked here: the drain's running sum is discarded.
-    PushKernel.drain(g, s, pi, r, q, inQueue, rMax, alpha, stats, 0.0)
+    Common.requireArgs(g.n, s, alpha)
+    while (sweep(g, s, pi, r, rMax, alpha, stats, drainDeadEndSource = true) > 0L) {}
   }
 }

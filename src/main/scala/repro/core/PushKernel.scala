@@ -7,9 +7,7 @@ import repro.graph.CSRGraph
   *
   *  - FIFO-FwdPush drains it to completion;
   *  - PowerPush's queue phase (Algorithm 3, lines 7-13) stops it once the
-  *    queue outgrows the scan threshold or Σr ≤ λ;
-  *  - the O(m) refinement of Lemma 4.5 drains a queue seeded with every
-  *    node active w.r.t. the refinement's r_max.
+  *    queue outgrows the scan threshold or Σr ≤ λ.
   *
   * Pushes are asynchronous: a push on v uses v's *current* residue, which may
   * already include mass pushed earlier in the same conceptual iteration.
@@ -50,19 +48,19 @@ object PushKernel {
 
   /** Pop and push queued nodes until the queue is empty, holds more than
     * `cap` nodes, or the running Σr is ≤ `stopSum`. Mutates `pi`, `r`, `q`,
-    * `inQueue` and `stats` in place.
+    * `inQueue` and `stats` in place. Both callers start from r = e_s, so Σr
+    * is 1 on entry; the return value is Σr on exit, maintained by
+    * subtracting each α-share moved into `pi`.
     *
-    * @param rsum  Σr on entry; the return value is Σr on exit, maintained by
-    *              subtracting each α-share moved into `pi`
     * @param trace if non-null, (edgePushes, Σr) recorded every `traceEvery`
     *              edge pushes (the paper samples every 4m)
     */
   def drain(g: CSRGraph, s: Int, pi: Array[Double], r: Array[Double],
             q: IntQueue, inQueue: Array[Boolean], rMax: Double, alpha: Double,
-            stats: Stats, rsum: Double,
+            stats: Stats,
             cap: Int = Int.MaxValue, stopSum: Double = Double.NegativeInfinity,
             trace: Trace = null, traceEvery: Long = 0L): Double = {
-    var sum = rsum
+    var sum = 1.0
     var nextTrace = stats.edgePushes + traceEvery
     while (!q.isEmpty && q.size <= cap && sum > stopSum) {
       val v = q.pop(); inQueue(v) = false

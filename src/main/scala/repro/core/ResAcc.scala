@@ -19,6 +19,7 @@ object ResAcc {
 
   def run(g: CSRGraph, s: Int, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, eps = eps)
     val n = g.n
     val w = Common.walkCount(n, eps, 1.0 / n)
     val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)

@@ -41,6 +41,7 @@ object SimFwdPush {
 
   def run(g: CSRGraph, s: Int, lambda: Double,
           alpha: Double = Common.DefaultAlpha, trace: Trace = null): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, lambda = lambda)
     val pi = new Array[Double](g.n)
     var r = new Array[Double](g.n)
     r(s) = 1.0

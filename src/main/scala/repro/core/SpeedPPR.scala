@@ -24,6 +24,7 @@ object SpeedPPR {
 
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
                       seed: Long, index: WalkIndex): PPRResult = {
+    Common.requireArgs(g.n, s, alpha, eps = eps)
     val w = Common.walkCount(g.n, eps, 1.0 / g.n)
     // PowerPush with the built-in refinement enforcing r(s,v) ≤ d_v / W, so
     // with the index only dead ends need live top-up walks.

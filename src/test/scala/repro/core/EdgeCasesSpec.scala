@@ -14,6 +14,19 @@ class EdgeCasesSpec extends AnyFunSuite {
     "PowerPush"  -> ((g, s, l) => PowerPush.run(g, s, l, alpha)),
   )
 
+  /** Runs `run` in a daemon thread with a 10 s join, so a hang fails the test. */
+  private def terminating(name: String)(run: => PPRResult): PPRResult = {
+    var res: PPRResult = null
+    val t = new Thread(() => res = run)
+    t.setDaemon(true)
+    t.start()
+    t.join(10000L)
+    assert(!t.isAlive, s"$name did not terminate")
+    res
+  }
+
+  private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
   test("two-node cycle closed form for every solver") {
     val g = CSRGraph.fromEdges(2, Seq(0 -> 1, 1 -> 0))
     val p00 = alpha / (1.0 - (1.0 - alpha) * (1.0 - alpha))
@@ -94,16 +107,6 @@ class EdgeCasesSpec extends AnyFunSuite {
     // solvers' residue unspent.
     val g = CSRGraph.fromEdges(1, Nil)
     val lambda = 1e-8
-    // A daemon thread with a join timeout turns a hang into a failure.
-    def terminating(name: String)(run: => PPRResult): PPRResult = {
-      var res: PPRResult = null
-      val t = new Thread(() => res = run)
-      t.setDaemon(true)
-      t.start()
-      t.join(10000L)
-      assert(!t.isAlive, s"$name did not terminate")
-      res
-    }
     solvers.foreach { case (name, run) =>
       val res = terminating(name)(run(g, 0, lambda))
       assert(res.pi(0) >= 1.0 - lambda, s"$name pi(0) = ${res.pi(0)}")
@@ -119,6 +122,72 @@ class EdgeCasesSpec extends AnyFunSuite {
       val res = terminating(name)(run())
       assert(math.abs(res.pi(0) - 1.0) <= 1e-9, s"$name pi(0) = ${res.pi(0)}")
     }
+  }
+
+  test("dead-end source: the refinement sweeps match FwdPush bit for bit") {
+    // Node 0 is a dead end, so every push of the source returns (1−α) of its
+    // residue to itself: the refinement must push it until inactive, as the
+    // FIFO does, and the two then make the same operations.
+    val g = CSRGraph.fromEdges(3, Seq(1 -> 0, 2 -> 1))
+    val rMax = 1e-4
+    val swept = PowerPush.run(g, 0, g.m * rMax, alpha, refineRMax = rMax)
+    val fifo = FwdPush.run(g, 0, rMax, alpha)
+    assert(fifo.stats.pushOps > 3000)
+    assert(bits(swept.pi) == bits(fifo.pi))
+    assert(bits(swept.residue) == bits(fifo.residue))
+    assert(swept.stats.edgePushes == fifo.stats.edgePushes)
+    assert(swept.stats.pushOps == fifo.stats.pushOps)
+  }
+
+  test("dead-end source on ten million nodes: the refinement stays O(n)") {
+    // One O(n) sweep per self-push would be ~3 100 sweeps, ~3·10^10 node visits.
+    val g = CSRGraph.fromEdges(10000000, Nil)
+    val rMax = 1e-4
+    val res = terminating("PowerPush with refinement")(PowerPush.run(g, 0, rMax, alpha, refineRMax = rMax))
+    assert(res.pi(0) >= 1.0 - 1e-12, s"pi(0) = ${res.pi(0)}")
+    assert(res.residue(0) <= Common.TinyResidue)
+  }
+
+  test("invalid arguments throw IllegalArgumentException naming the argument") {
+    val g = Fig1.graph
+    def rejects(arg: String)(run: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](run)
+      assert(e.getMessage.contains(arg), e.getMessage)
+    }
+    solvers.foreach { case (name, run) =>
+      withClue(name) {
+        rejects("source s")(run(g, -1, 1e-8))
+        rejects("source s")(run(g, g.n, 1e-8))
+        rejects("lambda")(run(g, 0, 0.0))
+      }
+    }
+    Seq(0.0, 1.0).foreach { a =>
+      rejects("alpha")(PowItr.run(g, 0, 1e-8, a))
+      rejects("alpha")(FwdPush.run(g, 0, 1e-4, a))
+      rejects("alpha")(FwdPush.runLambda(g, 0, 1e-8, a))
+      rejects("alpha")(SimFwdPush.run(g, 0, 1e-8, a))
+      rejects("alpha")(PowerPush.run(g, 0, 1e-8, a))
+      rejects("alpha")(PowerPush.refineToRMax(g, 0, new Array[Double](g.n), new Array[Double](g.n), 1e-4, a, new Stats))
+    }
+    rejects("source s")(FwdPush.run(g, g.n, 1e-4, alpha))
+    rejects("source s")(PowerPush.refineToRMax(g, g.n, new Array[Double](g.n), new Array[Double](g.n), 1e-4, alpha, new Stats))
+    val index = WalkIndex.buildSpeedPPR(g, alpha)
+    val walkSolvers: Seq[(String, (Int, Double, Double) => PPRResult)] = Seq(
+      "MonteCarlo"     -> ((s, e, a) => MonteCarlo.run(g, s, e, a)),
+      "Fora"           -> ((s, e, a) => Fora.run(g, s, e, a)),
+      "ResAcc"         -> ((s, e, a) => ResAcc.run(g, s, e, a)),
+      "SpeedPPR"       -> ((s, e, a) => SpeedPPR.run(g, s, e, a)),
+      "SpeedPPR-Index" -> ((s, e, a) => SpeedPPR.runIndexed(g, s, e, index, a)),
+    )
+    walkSolvers.foreach { case (name, run) =>
+      withClue(name) {
+        rejects("source s")(run(-1, 0.5, alpha))
+        rejects("source s")(run(g.n, 0.5, alpha))
+        Seq(0.0, 1.0).foreach(a => rejects("alpha")(run(0, 0.5, a)))
+        Seq(0.0, 1.0).foreach(e => rejects("eps")(run(0, e, alpha)))
+      }
+    }
+    rejects("source s")(BePILite.query(BePILite.preprocess(g, 1, alpha), g.n))
   }
 
   test("isActive semantics") {

@@ -75,6 +75,47 @@ object InvariantProps extends Properties("PPRInvariants") {
       (0 until g.n).forall(v => res.pi(v) <= exact(v) + 1e-10)
     }
 
+  /** Random graphs whose nodes all have out-degree d, except ~10% dead ends
+    * (duplicate edges and self loops allowed). With one degree, the edge
+    * pushes on non-dead-end nodes are exactly d·(edgePushes − pushOps)/(d − 1).
+    */
+  private val regularWithDeadEnds: Gen[(CSRGraph, Int, Int)] = for {
+    n    <- Gen.choose(10, 120)
+    d    <- Gen.choose(2, 6)
+    seed <- Gen.choose(0L, 100000L)
+    s    <- Gen.choose(0, n - 1)
+  } yield {
+    val rng = new java.util.Random(seed)
+    val edges = (0 until n).filter(_ => rng.nextDouble() >= 0.1)
+      .flatMap(v => Seq.fill(d)(v -> rng.nextInt(n)))
+    (CSRGraph.fromEdges(n, edges), s, d)
+  }
+
+  private def logUniform(lo: Double, hi: Double): Gen[Double] =
+    Gen.choose(math.log(lo), math.log(hi)).map(math.exp)
+
+  property("refineToRMax: none active, mass kept, Lemma 4.5 push bound, idempotent") =
+    Prop.forAll(regularWithDeadEnds, logUniform(1e-8, 1e-1), logUniform(1e-6, 1e-2)) {
+      case ((g, s, d), lambda, rMax) =>
+        val res = PowerPush.run(g, s, lambda, alpha)
+        val (pi, r, st) = (res.pi, res.residue, res.stats)
+        val rIn = Common.sum(r)
+        val massIn = Common.sum(pi) + rIn
+        val (e0, p0, iters) = (st.edgePushes, st.pushOps, st.iterations)
+        PowerPush.refineToRMax(g, s, pi, r, rMax, alpha, st)
+        val nonDeadEndEdgePushes = d * ((st.edgePushes - e0) - (st.pushOps - p0)) / (d - 1)
+        def bits = (pi ++ r).toSeq.map(java.lang.Double.doubleToRawLongBits)
+        val refinedBits = bits
+        val again = new Stats
+        PowerPush.refineToRMax(g, s, pi, r, rMax, alpha, again)
+        (0 until g.n).forall(v => !Common.isActive(r(v), g.outDegree(v), rMax)) &&
+          math.abs(Common.sum(pi) + Common.sum(r) - massIn) <= 1e-12 &&
+          nonDeadEndEdgePushes <= rIn / (alpha * rMax) &&
+          st.iterations == iters &&
+          again.edgePushes == 0 && again.pushOps == 0 &&
+          bits == refinedBits
+    }
+
   property("all estimates non-negative") = Prop.forAll(graphSource) { case (g, s) =>
     val res = PowerPush.run(g, s, 1e-8, alpha)
     res.pi.forall(_ >= 0.0) && res.residue.forall(_ >= 0.0)
