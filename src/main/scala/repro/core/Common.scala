@@ -50,15 +50,16 @@ object Common {
     r > TinyResidue && r > deg * rMax
 
   /** Fails fast, naming the argument, on a query outside the solvers'
-    * domain: 0 ≤ s < n, 0 < α < 1, λ > 0 and 0 < ε < 1. A solver without
-    * λ or ε leaves that parameter at its (valid) default.
+    * domain: 0 ≤ s < n, 0 < α < 1, λ > 0, 0 < ε < 1 and r_max > 0. A solver
+    * without λ, ε or r_max leaves that parameter at its (valid) default.
     */
   def requireArgs(n: Int, s: Int, alpha: Double,
-                  lambda: Double = 1.0, eps: Double = 0.5): Unit = {
+                  lambda: Double = 1.0, eps: Double = 0.5, rMax: Double = 1.0): Unit = {
     require(s >= 0 && s < n, s"source s = $s is outside [0, $n)")
     require(alpha > 0.0 && alpha < 1.0, s"alpha = $alpha is outside (0, 1)")
     require(lambda > 0.0, s"lambda = $lambda is not > 0")
     require(eps > 0.0 && eps < 1.0, s"eps = $eps is outside (0, 1)")
+    require(rMax > 0.0, s"r_max = $rMax is not > 0")
   }
 
   /** High-precision ℓ1 threshold: λ = min(1/m, 1e-8) (§8.1). */

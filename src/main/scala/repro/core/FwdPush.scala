@@ -18,7 +18,7 @@ object FwdPush {
   def run(g: CSRGraph, s: Int, rMax: Double,
           alpha: Double = Common.DefaultAlpha,
           trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
-    Common.requireArgs(g.n, s, alpha)
+    Common.requireArgs(g.n, s, alpha, rMax = rMax)
     val n = g.n
     val pi = new Array[Double](n)
     val r = new Array[Double](n)

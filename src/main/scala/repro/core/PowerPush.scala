@@ -17,8 +17,8 @@ import repro.graph.CSRGraph
   *    pushing (§5).
   *
   * The returned residues satisfy Σr ≤ λ; pass `refineRMax` to additionally
-  * enforce r(s,v) ≤ d_v·r_max for all v (the O(m) post-refinement used by
-  * SpeedPPR, Lemma 4.5), run as further sweeps at that r_max.
+  * enforce r(s,v) ≤ d_v·r_max for all v (SpeedPPR's post-refinement, Lemma
+  * 4.5), run as further sweeps at that r_max: O(m + n·S) for S sweeps.
   */
 object PowerPush {
 
@@ -53,7 +53,7 @@ object PowerPush {
         val epochLambda = math.pow(lambda, i.toDouble / epochNum)
         val rMaxEpoch = PushKernel.rMaxFor(epochLambda, m)
         while (rsum > epochLambda) {
-          sweep(g, s, pi, r, rMaxEpoch, alpha, stats, drainDeadEndSource = false)
+          sweep(g, s, pi, r, rMaxEpoch, alpha, stats)
           stats.iterations += 1
           rsum = Common.sum(r)
           if (trace != null) trace.record(stats.edgePushes, rsum)
@@ -75,14 +75,12 @@ object PowerPush {
     * in id order, updates visible within the sweep. Returns the number of
     * push ops it made.
     *
-    * A dead-end source gets its whole (1−α) share back from each push. With
-    * `drainDeadEndSource` it is pushed again on the spot until inactive — the
-    * FIFO's arithmetic — rather than once per O(n) sweep, which would take
-    * ~3 100 sweeps to bring r(s) down to [[Common.TinyResidue]].
+    * A dead-end source, which gets its whole (1−α) share back from each push,
+    * is pushed again on the spot until inactive (the FIFO's arithmetic)
+    * rather than once per O(n) sweep, ~3 100 times.
     */
   private def sweep(g: CSRGraph, s: Int, pi: Array[Double], r: Array[Double],
-                    rMax: Double, alpha: Double, stats: Stats,
-                    drainDeadEndSource: Boolean): Long = {
+                    rMax: Double, alpha: Double, stats: Stats): Long = {
     val ops = stats.pushOps
     var v = 0
     while (v < g.n) {
@@ -98,7 +96,7 @@ object PowerPush {
           stats.edgePushes += d
         }
         stats.pushOps += 1
-        rv = if (drainDeadEndSource && v == s && d == 0) r(v) else 0.0
+        rv = if (v == s && d == 0) r(v) else 0.0
       }
       v += 1
     }
@@ -106,14 +104,18 @@ object PowerPush {
   }
 
   /** Sweep at rMax until a sweep pushes nothing, so no node is active w.r.t.
-    * rMax. Lemma 4.5's O(m) bound holds in any push order: starting from
+    * rMax. Lemma 4.5's edge-push bound holds in any push order: starting from
     * Σr ≤ m·rMax, each push of a non-dead-end v moves more than α·d_v·rMax
-    * into π, so there are fewer than m/α edge pushes. Mutates pi, r and
-    * stats in place; refinement sweeps are not counted in `stats.iterations`.
+    * into π, so there are fewer than m/α edge pushes. The sweeps add O(n)
+    * visits each, so the cost is O(m + n·S) for S sweeps, and the lemma does
+    * not bound S: residue moves only one hop per sweep against id order, so S
+    * grows with the length of the activation chains that run from higher to
+    * lower ids (DESIGN.md §2). Mutates pi, r and stats in place; refinement
+    * sweeps are not counted in `stats.iterations`.
     */
   def refineToRMax(g: CSRGraph, s: Int, pi: Array[Double], r: Array[Double],
                    rMax: Double, alpha: Double, stats: Stats): Unit = {
-    Common.requireArgs(g.n, s, alpha)
-    while (sweep(g, s, pi, r, rMax, alpha, stats, drainDeadEndSource = true) > 0L) {}
+    Common.requireArgs(g.n, s, alpha, rMax = rMax)
+    while (sweep(g, s, pi, r, rMax, alpha, stats) > 0L) {}
   }
 }

@@ -171,6 +171,11 @@ class EdgeCasesSpec extends AnyFunSuite {
     }
     rejects("source s")(FwdPush.run(g, g.n, 1e-4, alpha))
     rejects("source s")(PowerPush.refineToRMax(g, g.n, new Array[Double](g.n), new Array[Double](g.n), 1e-4, alpha, new Stats))
+    Seq(0.0, -1e-4).foreach { rMax =>
+      rejects("r_max")(FwdPush.run(g, 0, rMax, alpha))
+      rejects("r_max")(PowerPush.run(g, 0, 1e-8, alpha, refineRMax = rMax))
+      rejects("r_max")(PowerPush.refineToRMax(g, 0, new Array[Double](g.n), new Array[Double](g.n), rMax, alpha, new Stats))
+    }
     val index = WalkIndex.buildSpeedPPR(g, alpha)
     val walkSolvers: Seq[(String, (Int, Double, Double) => PPRResult)] = Seq(
       "MonteCarlo"     -> ((s, e, a) => MonteCarlo.run(g, s, e, a)),
