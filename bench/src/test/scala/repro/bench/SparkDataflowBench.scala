@@ -4,9 +4,9 @@ import repro.SparkSpec
 import repro.core.Common
 import repro.graph.CSRGraph
 import repro.harness.Harness
-import repro.spark.{GraphXPPR, SparkPPR}
+import repro.spark.SparkPPR
 
-/** Our distributed-dataflow addendum (DESIGN.md §5): run the Spark/GraphX
+/** Our distributed-dataflow addendum (DESIGN.md §5): run the Spark
   * versions on the two smallest stand-ins and compare both wall time and
   * result agreement against the local implementations.
   *
@@ -16,7 +16,7 @@ import repro.spark.{GraphXPPR, SparkPPR}
   */
 class SparkDataflowBench extends SparkSpec {
 
-  test("Spark dataflow: PowItr / FwdPush / PowerPush / GraphX on small stand-ins") {
+  test("Spark dataflow: PowItr / FwdPush / PowerPush on small stand-ins") {
     val lambda = 1e-4
     val nDatasets = sys.env.get("REPRO_BENCH_SPARK_DATASETS").map(_.toInt).getOrElse(1)
     val rows = Harness.bundles.take(nDatasets).flatMap { b =>
@@ -36,18 +36,14 @@ class SparkDataflowBench extends SparkSpec {
         SparkPPR.fwdPush(spark, edges, g.n, s, lambda / g.m, Harness.Alpha))
       val (dfPP, tPP) = Harness.timeSec(
         SparkPPR.powerPush(spark, edges, g.n, s, lambda, g.m, Harness.Alpha))
-      val (dfGx, tGx) = Harness.timeSec(
-        GraphXPPR.powItr(spark, edges, g.n, s, lambda, Harness.Alpha))
       val out = Seq(
         Seq(b.ds.name, "SparkPowItr", Harness.fmt(tPow), Harness.fmt(l1(dfPow))),
         Seq(b.ds.name, "SparkFwdPush", Harness.fmt(tPush), Harness.fmt(l1(dfPush))),
         Seq(b.ds.name, "SparkPowerPush", Harness.fmt(tPP), Harness.fmt(l1(dfPP))),
-        Seq(b.ds.name, "GraphXPowItr", Harness.fmt(tGx), Harness.fmt(l1(dfGx))),
       )
       // dataflow results must satisfy the same error guarantee
       assert(l1(dfPow) <= lambda + 1e-9)
       assert(l1(dfPP) <= lambda + 1e-9)
-      assert(l1(dfGx) <= lambda + 1e-9)
       edges.unpersist()
       out
     }

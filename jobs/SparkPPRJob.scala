@@ -3,10 +3,10 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.graph.{CSRGraph, GraphGen}
 import repro.harness.Harness
-import repro.spark.{GraphXPPR, SparkPPR, SparkSpeedPPR}
+import repro.spark.{SparkPPR, SparkSpeedPPR}
 
 /** spark-submit entrypoint demonstrating the distributed-dataflow versions
-  * (SparkPPR / GraphXPPR / SparkSpeedPPR) on a dataset stand-in.
+  * (SparkPPR / SparkSpeedPPR) on a dataset stand-in.
   *
   * Usage: spark-submit --class repro.jobs.SparkPPRJob repro.jar [dataset] [lambda]
   */
@@ -25,18 +25,15 @@ object SparkPPRJob {
       val s = (0 until g.n).find(g.outDegree(_) > 0).get
       val edges = CSRGraph.toDataFrame(g, spark).cache()
       edges.count()
-      val (dfPow, tPow) = Harness.timeSec(SparkPPR.powItr(spark, edges, g.n, s, lambda))
+      val (_, tPow) = Harness.timeSec(SparkPPR.powItr(spark, edges, g.n, s, lambda))
       val (dfPP, tPP) = Harness.timeSec(SparkPPR.powerPush(spark, edges, g.n, s, lambda, g.m))
-      val (dfGx, tGx) = Harness.timeSec(GraphXPPR.powItr(spark, edges, g.n, s, lambda))
-      val (dfSp, tSp) = Harness.timeSec(SparkSpeedPPR.run(spark, edges, g.n, g.m, s, eps = 0.5))
+      val (_, tSp) = Harness.timeSec(SparkSpeedPPR.run(spark, edges, g.n, g.m, s, eps = 0.5))
       println(s"dataset=$dsName n=${g.n} m=${g.m} source=$s lambda=$lambda")
       println(f"SparkPowItr    : $tPow%8.2f s")
       println(f"SparkPowerPush : $tPP%8.2f s")
-      println(f"GraphXPowItr   : $tGx%8.2f s")
       println(f"SparkSpeedPPR  : $tSp%8.2f s (eps=0.5)")
       println("top-10 PPR (SparkPowerPush):")
       dfPP.orderBy(org.apache.spark.sql.functions.desc("pi")).limit(10).show()
-      val _ = (dfPow, dfGx, dfSp)
     } finally spark.stop()
   }
 }

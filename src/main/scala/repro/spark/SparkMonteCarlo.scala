@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.core.Common
 
 /** Distributed α-random walks as iterative dataflow.
   *
@@ -76,7 +77,8 @@ object SparkMonteCarlo {
   /** Plain distributed Monte-Carlo Approx-SSPPR (§6.1), W from Eq. (12). */
   def run(spark: SparkSession, edges: DataFrame, n: Long, s: Long, eps: Double,
           alpha: Double = 0.2, seed: Long = 1L): DataFrame = {
-    val w = math.ceil(repro.core.Common.walkCountW(n.toInt, eps, 1.0 / n)).toLong
+    Common.requireArgs(n.toInt, s.toInt, alpha, eps = eps)
+    val w = Common.walkCount(n.toInt, eps, 1.0 / n)
     val adj = adjacency(spark, edges, n).persist(StorageLevel.MEMORY_AND_DISK)
     val starts = spark.range(w).select(lit(s).as("start"), lit(1.0 / w).as("weight"))
     val out = walkEndpoints(spark, adj, starts, s, alpha, seed)

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.core.{Common, PushKernel}
 
 /** Distributed SSPPR as Catalyst dataflow.
   *
@@ -46,7 +47,7 @@ object SparkPPR {
   def pushStep(state: DataFrame, edges: DataFrame, s: Long, alpha: Double,
                rMax: Double): DataFrame = {
     val active = col("r") > greatest(col("deg").cast("double") * rMax,
-                                     lit(repro.core.Common.TinyResidue))
+                                     lit(Common.TinyResidue))
     val deadMass = state
       .where(col("deg") === 0L && active)
       .agg(coalesce(sum(col("r")), lit(0.0)))
@@ -73,30 +74,30 @@ object SparkPPR {
     val row = state.agg(
       coalesce(sum(col("r")), lit(0.0)),
       coalesce(sum(when(col("r") > greatest(col("deg").cast("double") * rMax,
-                                            lit(repro.core.Common.TinyResidue)), 1L)
+                                            lit(Common.TinyResidue)), 1L)
         .otherwise(0L)), lit(0L)),
     ).head()
     (row.getDouble(0), row.getLong(1))
   }
 
-  private def checkpoint(df: DataFrame): DataFrame = {
-    val out = df.persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint(true)
-    out
-  }
+  private def checkpoint(df: DataFrame): DataFrame =
+    df.persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint(true)
 
   /** Distributed PowItr: full pushes (r_max = 0) until Σr ≤ λ. */
   def powItr(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-             lambda: Double, alpha: Double = 0.2, maxIters: Int = 500): DataFrame =
-    loop(spark, edges, n, s, alpha, maxIters) { (state, _, rsum) =>
+             lambda: Double, alpha: Double = 0.2, maxIters: Int = 500): DataFrame = {
+    Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
+    loop(initState(spark, edges, n, s), edges, s, alpha, maxIters, rMax0 = 0.0) { (_, rsum) =>
       if (rsum <= lambda) None else Some(0.0)
     }
+  }
 
-  /** Distributed frontier FwdPush: r_max = λ/m until no node is active. */
+  /** Distributed frontier FwdPush: [[refine]] from e_s at r_max = λ/m. */
   def fwdPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-              rMax: Double, alpha: Double = 0.2, maxIters: Int = 500): DataFrame =
-    loop(spark, edges, n, s, alpha, maxIters) { (state, nActive, _) =>
-      if (nActive == 0L) None else Some(rMax)
-    }
+              rMax: Double, alpha: Double = 0.2, maxIters: Int = 500): DataFrame = {
+    Common.requireArgs(n.toInt, s.toInt, alpha, rMax = rMax)
+    refine(initState(spark, edges, n, s), edges, s, rMax, alpha, maxIters)
+  }
 
   /** Distributed PowerPush: the §5 epoch schedule of thresholds
     * r'_max = λ^(i/epochNum)/m, finishing at λ/m.
@@ -104,14 +105,15 @@ object SparkPPR {
   def powerPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
                 lambda: Double, m: Long, alpha: Double = 0.2,
                 epochNum: Int = 8, maxIters: Int = 500): DataFrame = {
+    Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     var epoch = 1
-    loop(spark, edges, n, s, alpha, maxIters) { (state, nActive, rsum) =>
+    loop(initState(spark, edges, n, s), edges, s, alpha, maxIters, rMax0 = 0.0) { (nActive, rsum) =>
       var lamEpoch = math.pow(lambda, epoch.toDouble / epochNum)
       while (epoch < epochNum && rsum <= lamEpoch) {
         epoch += 1
         lamEpoch = math.pow(lambda, epoch.toDouble / epochNum)
       }
-      if (rsum <= lambda && nActive == 0L) None else Some(lamEpoch / m)
+      if (rsum <= lambda && nActive == 0L) None else Some(PushKernel.rMaxFor(lamEpoch, m))
     }
   }
 
@@ -121,36 +123,27 @@ object SparkPPR {
     */
   def refine(stateIn: DataFrame, edges: DataFrame, s: Long, rMax: Double,
              alpha: Double = 0.2, maxIters: Int = 500): DataFrame = {
-    var state = checkpoint(stateIn)
-    var iter = 0
-    var done = false
-    while (!done && iter < maxIters) {
-      val (_, nActive) = residueSummary(state, rMax)
-      if (nActive == 0L) done = true
-      else {
-        val prev = state
-        state = checkpoint(pushStep(state, edges, s, alpha, rMax))
-        prev.unpersist()
-        iter += 1
-      }
+    // No n here: the placeholder n = 1, s = 0 leaves only α and r_max checked.
+    Common.requireArgs(1, 0, alpha, rMax = rMax)
+    loop(stateIn, edges, s, alpha, maxIters, rMax0 = rMax) { (nActive, _) =>
+      if (nActive == 0L) None else Some(rMax)
     }
-    state
   }
 
-  /** Shared superstep loop. `next` inspects (state, #active-at-last-rMax, Σr)
-    * and returns the next threshold, or None to stop. The first call sees the
-    * initial state with r_max = 0 statistics.
+  /** The one superstep loop. `next` inspects (#active at the last threshold,
+    * Σr) and returns the next threshold, or None to stop. The first call sees
+    * `stateIn`'s statistics at `rMax0`.
     */
-  private def loop(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-                   alpha: Double, maxIters: Int)
-                  (next: (DataFrame, Long, Double) => Option[Double]): DataFrame = {
-    var state = checkpoint(initState(spark, edges, n, s))
+  private def loop(stateIn: DataFrame, edges: DataFrame, s: Long, alpha: Double,
+                   maxIters: Int, rMax0: Double)
+                  (next: (Long, Double) => Option[Double]): DataFrame = {
+    var state = checkpoint(stateIn)
     var iter = 0
-    var rMaxUsed = 0.0
+    var rMaxUsed = rMax0
     var continue = true
     while (continue && iter < maxIters) {
       val (rsum, nActive) = residueSummary(state, rMaxUsed)
-      next(state, nActive, rsum) match {
+      next(nActive, rsum) match {
         case None => continue = false
         case Some(rMax) =>
           val prev = state

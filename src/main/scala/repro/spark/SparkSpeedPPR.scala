@@ -3,8 +3,9 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.core.Common
 
-/** Distributed SpeedPPR (Algorithm 4): SparkPPR.powerPush with λ = m/W,
+/** Distributed SpeedPPR (Algorithm 4): SparkPPR.powerPush with λ = max(m, 1)/W,
   * refinement to r_max = 1/W, then the phase-2 walks — each node v with
   * leftover residue seeds W_v = ⌈r·W⌉ ≤ d_v walks of weight r/W_v, executed
   * by the SparkMonteCarlo engine.
@@ -14,8 +15,9 @@ object SparkSpeedPPR {
   /** @return DataFrame(id, pi) — the Approx-SSPPR estimate. */
   def run(spark: SparkSession, edges: DataFrame, n: Long, m: Long, s: Long,
           eps: Double, alpha: Double = 0.2, seed: Long = 1L): DataFrame = {
-    val w = math.ceil(repro.core.Common.walkCountW(n.toInt, eps, 1.0 / n)).toLong
-    val lambda = m.toDouble / w
+    Common.requireArgs(n.toInt, s.toInt, alpha, eps = eps)
+    val w = Common.walkCount(n.toInt, eps, 1.0 / n)
+    val lambda = math.max(m, 1L).toDouble / w
     val pushed = SparkPPR.powerPush(spark, edges, n, s, lambda, m, alpha)
     val refined = SparkPPR.refine(pushed, edges, s, rMax = 1.0 / w, alpha = alpha)
       .persist(StorageLevel.MEMORY_AND_DISK)

@@ -59,4 +59,10 @@ class SparkMonteCarloSpec extends SparkSpec {
     val pi2 = out.where(col("id") === 2L).head().getDouble(1)
     assert(pi2 == 0.0)
   }
+
+  test("one-node graph: the single walk stops at the source, pi(0) = 1") {
+    val g = CSRGraph.fromEdges(1, Nil)
+    val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 9)
+    assert(math.abs(out.head().getDouble(1) - 1.0) < 1e-9)
+  }
 }

@@ -1,7 +1,9 @@
 package repro.spark
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
 import repro.core.{Common, PowItr}
 
@@ -52,7 +54,7 @@ class SparkPPRSpec extends SparkSpec {
     val stateTbl = st2.select(col("id"), col("deg").cast("double").as("deg"), col("r"))
     val got = SparkPPR.pushStep(st2, edges, 0, alpha, 0.0)
       .select(col("id"), round(col("r") * 1000, 6).as("r1000"))
-    repro.Oracle.assertEquivalent(
+    Oracle.assertEquivalent(
       got,
       """SELECT s.id AS id,
         |       round(coalesce(m.msg, 0) * 1000, 6) AS r1000
@@ -74,7 +76,7 @@ class SparkPPRSpec extends SparkSpec {
     val g = GraphGen.randomGraph(50, 4.0, seed = 123)
     val edges = CSRGraph.toDataFrame(g, spark)
     val got = edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
-    repro.Oracle.assertEquivalent(
+    Oracle.assertEquivalent(
       got,
       "SELECT CAST(src AS BIGINT) AS id, count(*) AS deg FROM edges GROUP BY src",
       "edges" -> edges,
@@ -136,5 +138,69 @@ class SparkPPRSpec extends SparkSpec {
     val out = SparkPPR.powItr(spark, edges, g.n, 2, lambda = 1e-6, alpha = alpha)
     val pi = collectCol(out, g.n, "pi")
     assert(Common.l1Diff(pi, local.pi) < 1e-12)
+  }
+
+  test("oracle catches a wrong result") {
+    val edges = CSRGraph.toDataFrame(Fig1.graph, spark)
+    val wrong = edges.agg((count(lit(1)) + 1).as("cnt")) // off by one
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
+    }
+  }
+
+  test("oracle rejects mismatched column names") {
+    val edges = CSRGraph.toDataFrame(Fig1.graph, spark)
+    val got = edges.agg(count(lit(1)).as("n_rows"))
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(got, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
+    }
+  }
+
+  test("invalid arguments throw IllegalArgumentException before any Spark job") {
+    val g = Fig1.graph
+    val n = g.n.toLong
+    val edges = CSRGraph.toDataFrame(g, spark)
+    val state = SparkPPR.initState(spark, edges, n, 0)
+    // Each entry takes (s, α, x), x being its λ, ε or r_max; 0.5 is valid for
+    // all three. Then the invalid sources and x values of that entry.
+    val badS = Seq(-1L, n)
+    val entries: Seq[(String, (Long, Double, Double) => Any, Seq[Long], Seq[Double])] = Seq(
+      ("powItr", (s, a, x) => SparkPPR.powItr(spark, edges, n, s, x, a), badS, Seq(0.0)),
+      ("fwdPush", (s, a, x) => SparkPPR.fwdPush(spark, edges, n, s, x, a), badS, Seq(0.0)),
+      ("powerPush", (s, a, x) => SparkPPR.powerPush(spark, edges, n, s, x, g.m, a), badS, Seq(0.0)),
+      ("refine", (_, a, x) => SparkPPR.refine(state, edges, 0, x, a), Nil, Seq(0.0)),
+      ("SparkMonteCarlo.run", (s, a, x) => SparkMonteCarlo.run(spark, edges, n, s, x, a),
+        badS, Seq(0.0, 1.0)),
+      ("SparkSpeedPPR.run", (s, a, x) => SparkSpeedPPR.run(spark, edges, n, g.m, s, x, a),
+        badS, Seq(0.0, 1.0)),
+    )
+    val sc = spark.sparkContext
+    val jobGroups = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobGroups.add(Option(e.properties).map(_.getProperty("spark.jobGroup.id", "")).getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("contracts", "invalid arguments")
+      for ((name, entry, sources, xs) <- entries) {
+        val bad = sources.map((_, alpha, 0.5)) ++ Seq(0.0, 1.0).map((0L, _, 0.5)) ++
+          xs.map((0L, alpha, _))
+        for ((s, a, x) <- bad) withClue(s"$name(s = $s, alpha = $a, x = $x): ") {
+          intercept[IllegalArgumentException](entry(s, a, x))
+        }
+      }
+      // Listener events arrive in job order, so once this job is seen every
+      // job started above has been seen too.
+      sc.setJobGroup("barrier", "listener barrier")
+      sc.parallelize(Seq(1), 1).count()
+      val deadline = System.nanoTime() + 10000000000L
+      while (!jobGroups.contains("barrier") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(jobGroups.contains("barrier"))
+      assert(!jobGroups.contains("contracts"), "an entry launched a Spark job before failing")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
   }
 }
