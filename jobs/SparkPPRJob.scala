@@ -17,7 +17,6 @@ object SparkPPRJob {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-sparkppr")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {
       val ds = GraphGen.byName(dsName)

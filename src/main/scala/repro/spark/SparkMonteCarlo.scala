@@ -15,6 +15,8 @@ import repro.core.Common
   */
 object SparkMonteCarlo {
 
+  private val MaxSteps = 200
+
   /** Adjacency table: (id, deg, nbrs ARRAY<BIGINT>) for every node. */
   def adjacency(spark: SparkSession, edges: DataFrame, n: Long): DataFrame = {
     val adj = edges
@@ -31,21 +33,20 @@ object SparkMonteCarlo {
 
   /** Run every walk in `starts` (columns: start LONG, weight DOUBLE) to its
     * stop node; returns (id, pi) = per-node summed weights of stopping walks.
-    *
-    * @param maxSteps hard cap; P(alive after k) = (1−α)^k, so 200 steps leave
-    *                 ~1e-20 unstopped mass — any survivors are credited to
-    *                 their current node and the truncation is logged.
+    * Each step is checkpointed lazily and materialised by the alive count.
+    * P(alive after k) = (1−α)^k, so [[MaxSteps]] = 200 steps leave ~1e-20
+    * unstopped mass; any survivors are credited to their current node and
+    * the truncation is logged.
     */
   def walkEndpoints(spark: SparkSession, adj: DataFrame, starts: DataFrame,
-                    s: Long, alpha: Double, seed: Long,
-                    maxSteps: Int = 200): DataFrame = {
+                    s: Long, alpha: Double, seed: Long): DataFrame = {
     var walks = starts
       .select(col("start").cast("long").as("cur"), col("weight").cast("double").as("weight"))
       .withColumn("stopped", lit(false))
-      .persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint(true)
+      .localCheckpoint(false)
     var step = 0
     var alive = walks.where(!col("stopped")).count()
-    while (alive > 0 && step < maxSteps) {
+    while (alive > 0 && step < MaxSteps) {
       // Draw both randoms in their own projection first: CollapseProject
       // skips nondeterministic projections, so each is evaluated exactly
       // once per row and the stop decision stays consistent across columns.
@@ -63,14 +64,12 @@ object SparkMonteCarlo {
         col("weight"),
         (col("stopped") || col("stopDraw") < alpha).as("stopped"),
       )
-      val prev = walks
-      walks = stepped.persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint(true)
-      prev.unpersist()
+      walks = stepped.localCheckpoint(false)
       alive = walks.where(!col("stopped")).count()
       step += 1
     }
     if (alive > 0)
-      Console.err.println(s"[SparkMonteCarlo] $alive walks truncated at $maxSteps steps")
+      Console.err.println(s"[SparkMonteCarlo] $alive walks truncated at $MaxSteps steps")
     walks.groupBy(col("cur").as("id")).agg(sum(col("weight")).as("pi"))
   }
 

@@ -1,8 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import repro.core.{Common, PushKernel}
 
 /** Distributed SSPPR as Catalyst dataflow.
@@ -40,63 +39,62 @@ object SparkPPR {
   /** One synchronous push superstep at threshold `rMax`.
     *
     * A node is active iff r > deg·r_max (a dead end hence iff r > 0, matching
-    * the paper's convention). Returns the next state; pure DataFrame
-    * transformation except for the dead-end mass scalar, which is a driver
-    * aggregate (a scalar broadcast, not a collect of per-node state).
+    * the paper's convention). A dead end v ≠ s sends (1−α)·r to s as one more
+    * message (§2's conceptual dead-end edge). An active dead-end source is
+    * settled in closed form, π += r and r = 0: the limit of pushing it again
+    * on the spot, as `PowerPush.sweep` does. No Spark action runs here.
     */
   def pushStep(state: DataFrame, edges: DataFrame, s: Long, alpha: Double,
                rMax: Double): DataFrame = {
-    val active = col("r") > greatest(col("deg").cast("double") * rMax,
-                                     lit(Common.TinyResidue))
-    val deadMass = state
-      .where(col("deg") === 0L && active)
-      .agg(coalesce(sum(col("r")), lit(0.0)))
-      .head().getDouble(0)
-    val msgs = state
-      .where(active && col("deg") > 0L)
+    val active = activeAt(rMax)
+    val pushing = state.where(active)
+    val msgs = pushing
       .join(edges, col("id") === col("src"))
-      .groupBy(col("dst").as("id"))
-      .agg(sum(lit(1.0 - alpha) * col("r") / col("deg")).as("msg"))
+      .select(col("dst").cast("long").as("id"), (lit(1.0 - alpha) * col("r") / col("deg")).as("msg"))
+      .union(pushing.where(col("deg") === 0L && col("id") =!= s)
+        .select(lit(s).as("id"), (lit(1.0 - alpha) * col("r")).as("msg")))
+      .groupBy("id").agg(sum(col("msg")).as("msg"))
+    val piShare = when(col("id") === s && col("deg") === 0L, 1.0).otherwise(alpha)
     state
       .join(msgs, Seq("id"), "left")
       .select(
         col("id"),
         col("deg"),
-        (col("pi") + when(active, lit(alpha) * col("r")).otherwise(0.0)).as("pi"),
-        (when(active, 0.0).otherwise(col("r"))
-          + coalesce(col("msg"), lit(0.0))
-          + when(col("id") === s, lit((1.0 - alpha) * deadMass)).otherwise(0.0)).as("r"),
+        (col("pi") + when(active, piShare * col("r")).otherwise(0.0)).as("pi"),
+        (when(active, 0.0).otherwise(col("r")) + coalesce(col("msg"), lit(0.0))).as("r"),
       )
   }
 
-  /** Aggregate (Σr, #active at rMax) in one pass. */
+  /** Aggregate (Σr, #active at rMax) in one pass: the superstep's one Spark
+    * action, which also materialises `state`'s lazy checkpoint.
+    */
   def residueSummary(state: DataFrame, rMax: Double): (Double, Long) = {
     val row = state.agg(
       coalesce(sum(col("r")), lit(0.0)),
-      coalesce(sum(when(col("r") > greatest(col("deg").cast("double") * rMax,
-                                            lit(Common.TinyResidue)), 1L)
-        .otherwise(0L)), lit(0L)),
+      coalesce(sum(when(activeAt(rMax), 1L).otherwise(0L)), lit(0L)),
     ).head()
     (row.getDouble(0), row.getLong(1))
   }
 
-  private def checkpoint(df: DataFrame): DataFrame =
-    df.persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint(true)
+  private def activeAt(rMax: Double): Column =
+    col("r") > greatest(col("deg").cast("double") * rMax, lit(Common.TinyResidue))
+
+  private val MaxSupersteps = 500 // PowItr needs ~83 at λ = 1e-8, α = 0.2
 
   /** Distributed PowItr: full pushes (r_max = 0) until Σr ≤ λ. */
   def powItr(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-             lambda: Double, alpha: Double = 0.2, maxIters: Int = 500): DataFrame = {
+             lambda: Double, alpha: Double = 0.2): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
-    loop(initState(spark, edges, n, s), edges, s, alpha, maxIters, rMax0 = 0.0) { (_, rsum) =>
+    loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
       if (rsum <= lambda) None else Some(0.0)
     }
   }
 
   /** Distributed frontier FwdPush: [[refine]] from e_s at r_max = λ/m. */
   def fwdPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-              rMax: Double, alpha: Double = 0.2, maxIters: Int = 500): DataFrame = {
+              rMax: Double, alpha: Double = 0.2): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, rMax = rMax)
-    refine(initState(spark, edges, n, s), edges, s, rMax, alpha, maxIters)
+    refine(initState(spark, edges, n, s), edges, s, rMax, alpha)
   }
 
   /** Distributed PowerPush: the §5 epoch schedule of thresholds
@@ -104,16 +102,16 @@ object SparkPPR {
     */
   def powerPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
                 lambda: Double, m: Long, alpha: Double = 0.2,
-                epochNum: Int = 8, maxIters: Int = 500): DataFrame = {
+                epochNum: Int = 8): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     var epoch = 1
-    loop(initState(spark, edges, n, s), edges, s, alpha, maxIters, rMax0 = 0.0) { (nActive, rsum) =>
+    loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
       var lamEpoch = math.pow(lambda, epoch.toDouble / epochNum)
       while (epoch < epochNum && rsum <= lamEpoch) {
         epoch += 1
         lamEpoch = math.pow(lambda, epoch.toDouble / epochNum)
       }
-      if (rsum <= lambda && nActive == 0L) None else Some(PushKernel.rMaxFor(lamEpoch, m))
+      if (rsum <= lambda) None else Some(PushKernel.rMaxFor(lamEpoch, m))
     }
   }
 
@@ -122,33 +120,36 @@ object SparkPPR {
     * enforce r(s,v) ≤ d_v·r_max with r_max = 1/W before the walk phase.
     */
   def refine(stateIn: DataFrame, edges: DataFrame, s: Long, rMax: Double,
-             alpha: Double = 0.2, maxIters: Int = 500): DataFrame = {
+             alpha: Double = 0.2): DataFrame = {
     // No n here: the placeholder n = 1, s = 0 leaves only α and r_max checked.
     Common.requireArgs(1, 0, alpha, rMax = rMax)
-    loop(stateIn, edges, s, alpha, maxIters, rMax0 = rMax) { (nActive, _) =>
+    loop(stateIn, edges, s, alpha, rMax0 = rMax) { (nActive, _) =>
       if (nActive == 0L) None else Some(rMax)
     }
   }
 
   /** The one superstep loop. `next` inspects (#active at the last threshold,
     * Σr) and returns the next threshold, or None to stop. The first call sees
-    * `stateIn`'s statistics at `rMax0`.
+    * `stateIn`'s statistics at `rMax0`. Each state is checkpointed lazily and
+    * materialised by its [[residueSummary]]. Throws IllegalStateException if
+    * `next` still asks for a superstep after [[MaxSupersteps]].
     */
   private def loop(stateIn: DataFrame, edges: DataFrame, s: Long, alpha: Double,
-                   maxIters: Int, rMax0: Double)
+                   rMax0: Double)
                   (next: (Long, Double) => Option[Double]): DataFrame = {
-    var state = checkpoint(stateIn)
+    var state = stateIn.localCheckpoint(false)
     var iter = 0
     var rMaxUsed = rMax0
     var continue = true
-    while (continue && iter < maxIters) {
+    while (continue) {
       val (rsum, nActive) = residueSummary(state, rMaxUsed)
       next(nActive, rsum) match {
         case None => continue = false
+        case Some(_) if iter == MaxSupersteps =>
+          throw new IllegalStateException(s"no convergence after $iter supersteps: " +
+            s"sum of residues = $rsum, $nActive nodes active at r_max = $rMaxUsed")
         case Some(rMax) =>
-          val prev = state
-          state = checkpoint(pushStep(state, edges, s, alpha, rMax))
-          prev.unpersist()
+          state = pushStep(state, edges, s, alpha, rMax).localCheckpoint(false)
           rMaxUsed = rMax
           iter += 1
       }

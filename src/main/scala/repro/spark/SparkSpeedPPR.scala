@@ -20,7 +20,6 @@ object SparkSpeedPPR {
     val lambda = math.max(m, 1L).toDouble / w
     val pushed = SparkPPR.powerPush(spark, edges, n, s, lambda, m, alpha)
     val refined = SparkPPR.refine(pushed, edges, s, rMax = 1.0 / w, alpha = alpha)
-      .persist(StorageLevel.MEMORY_AND_DISK)
 
     // Phase 2: one row per walk — v spawns W_v = ceil(r·W) walks, each of
     // weight r/W_v (Eq. 13 with the FORA estimator).
@@ -38,8 +37,8 @@ object SparkSpeedPPR {
     val out = refined
       .join(walkPi.withColumnRenamed("pi", "walkPi"), Seq("id"), "left")
       .select(col("id"), (col("pi") + coalesce(col("walkPi"), lit(0.0))).as("pi"))
-      .persist(StorageLevel.MEMORY_AND_DISK).localCheckpoint(true)
-    adj.unpersist(); refined.unpersist()
+      .localCheckpoint(true)
+    adj.unpersist()
     out
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
+import EdgeCasesSpec.terminating
 
 /** Edge-case and closed-form checks shared across all solvers. */
 class EdgeCasesSpec extends AnyFunSuite {
@@ -13,17 +14,6 @@ class EdgeCasesSpec extends AnyFunSuite {
     "SimFwdPush" -> ((g, s, l) => SimFwdPush.run(g, s, l, alpha)),
     "PowerPush"  -> ((g, s, l) => PowerPush.run(g, s, l, alpha)),
   )
-
-  /** Runs `run` in a daemon thread with a 10 s join, so a hang fails the test. */
-  private def terminating(name: String)(run: => PPRResult): PPRResult = {
-    var res: PPRResult = null
-    val t = new Thread(() => res = run)
-    t.setDaemon(true)
-    t.start()
-    t.join(10000L)
-    assert(!t.isAlive, s"$name did not terminate")
-    res
-  }
 
   private def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
@@ -201,5 +191,21 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(Common.isActive(1e-9, 0, 0.1))        // dead end with real residue
     assert(!Common.isActive(1e-310, 0, 0.1))     // denormal floor
     assert(!Common.isActive(0.0, 0, 0.0))
+  }
+}
+
+object EdgeCasesSpec {
+
+  /** Runs `run` in a daemon thread with a 10 s join, so a hang fails the
+    * caller instead of the whole test run; rethrows what `run` threw.
+    */
+  def terminating[A](name: String)(run: => A): A = {
+    var res: scala.util.Try[A] = null
+    val t = new Thread(() => res = scala.util.Try(run))
+    t.setDaemon(true)
+    t.start()
+    t.join(10000L)
+    org.scalatest.Assertions.assert(!t.isAlive, s"$name did not terminate")
+    res.get
   }
 }

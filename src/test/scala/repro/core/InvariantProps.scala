@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.Prop.propBoolean
 import repro.graph.{CSRGraph, ExactPPR, GraphGen}
 
 /** Property-based invariants over random graphs, sources, and thresholds. */
@@ -120,4 +121,46 @@ object InvariantProps extends Properties("PPRInvariants") {
     val res = PowerPush.run(g, s, 1e-8, alpha)
     res.pi.forall(_ >= 0.0) && res.residue.forall(_ >= 0.0)
   }
+
+  /** Graphs on 1..6 nodes, a third of them edgeless (every node a dead end),
+    * the rest with 1..2n random edges, duplicates and self loops allowed.
+    */
+  private val tinyGraphSource: Gen[(CSRGraph, Int)] = for {
+    n     <- Gen.choose(1, 6)
+    m     <- Gen.frequency(1 -> Gen.const(0), 2 -> Gen.choose(1, 2 * n))
+    edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    s     <- Gen.choose(0, n - 1)
+  } yield (CSRGraph.fromEdges(n, edges), s)
+
+  property("tiny graphs: every solver terminates and meets its guarantee") =
+    Prop.forAll(tinyGraphSource) { case (g, s) =>
+      val (lambda, eps) = (1e-9, 0.5)
+      val exact = ExactPPR.solve(g, s, alpha)
+      def check(name: String)(solve: => PPRResult)(ok: PPRResult => Boolean): Prop = {
+        val res = EdgeCasesSpec.terminating(name)(solve)
+        ok(res) :| s"$name: l1 = ${Common.l1Diff(res.pi, exact)}, pi = ${res.pi.toSeq}"
+      }
+      val withinLambda = (res: PPRResult) => Common.l1Diff(res.pi, exact) <= lambda
+      val distribution = (res: PPRResult) => math.abs(res.l1Pi - 1.0) <= 1e-9 && res.pi.forall(_ >= 0.0)
+      Prop.all(
+        check("PowItr")(PowItr.run(g, s, lambda, alpha))(withinLambda),
+        check("FwdPush")(FwdPush.runLambda(g, s, lambda, alpha))(withinLambda),
+        check("SimFwdPush")(SimFwdPush.run(g, s, lambda, alpha))(withinLambda),
+        check("PowerPush")(PowerPush.run(g, s, lambda, alpha))(withinLambda),
+        check("PowerPush+refine")(PowerPush.run(g, s, lambda, alpha,
+                                                refineRMax = PushKernel.rMaxFor(lambda, g.m)))(withinLambda),
+        // BePI stops on an ℓ2 step Δ between iterates (§8.1), which bounds
+        // no ℓ1 error: at the default Δ = 1e-8, ℓ1 reached 1.2e-7 on a 6-node
+        // graph. It is held to the normalisation it promises.
+        check("BePILite")(BePILite.query(BePILite.preprocess(g, 2, alpha), s))(res =>
+          math.abs(res.l1Pi - 1.0) <= 1e-9),
+        check("MonteCarlo")(MonteCarlo.run(g, s, eps, alpha))(distribution),
+        check("Fora")(Fora.run(g, s, eps, alpha))(distribution),
+        check("Fora-Index")(Fora.runIndexed(g, s, eps, WalkIndex.buildFora(g, eps, alpha), alpha))(distribution),
+        check("ResAcc")(ResAcc.run(g, s, eps, alpha))(distribution),
+        check("SpeedPPR")(SpeedPPR.run(g, s, eps, alpha))(distribution),
+        check("SpeedPPR-Index")(SpeedPPR.runIndexed(g, s, eps, WalkIndex.buildSpeedPPR(g, alpha), alpha))(distribution),
+      ) :|
+        s"s = $s, out-lists = ${(0 until g.n).map(g.outNeighbors(_).toSeq)}"
+    }
 }
