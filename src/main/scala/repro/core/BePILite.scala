@@ -59,6 +59,7 @@ object BePILite {
   def preprocess(g: CSRGraph, hubCount: Int,
                  alpha: Double = Common.DefaultAlpha,
                  delta: Double = Double.NaN): Index = {
+    require(delta.isNaN || delta > 0.0, s"delta = $delta is not > 0")
     val t0 = System.nanoTime()
     val n = g.n
     val dEff = if (delta.isNaN) math.min(1.0 / g.m, 1e-8) else delta
@@ -113,9 +114,12 @@ object BePILite {
               (System.nanoTime() - t0) / 1000000L)
   }
 
+  private val MaxIterations = 10000 // the step shrinks like (1 − α)^k: k ≈ 124 reaches 1e-12 at α = 0.2
+
   /** Iterative solve of A11·y = b over the spoke block (hub entries of b must
     * be zero): Neumann series y ← b + (1−α)·P₁₁ᵀ·y until the consecutive-
-    * iterate ℓ2 distance is ≤ delta. Returns y in global-id space.
+    * iterate ℓ2 distance is ≤ delta. Returns y in global-id space. Throws
+    * IllegalStateException if that takes more than [[MaxIterations]].
     */
   private def solveSpoke(g: CSRGraph, hubIdx: Array[Int], b: Array[Double],
                          alpha: Double, delta: Double, stats: Stats): Array[Double] = {
@@ -124,7 +128,10 @@ object BePILite {
     var next = new Array[Double](n)
     var dist = Double.MaxValue
     var iters = 0
-    while (dist > delta && iters < 10000) {
+    while (dist > delta) {
+      if (iters == MaxIterations)
+        throw new IllegalStateException(s"BePI-lite spoke solve: no convergence after $iters " +
+          s"iterations: step = $dist > delta = $delta")
       System.arraycopy(b, 0, next, 0, n)
       var v = 0
       while (v < n) {

@@ -24,7 +24,7 @@ object FwdPush {
     val r = new Array[Double](n)
     r(s) = 1.0
     val inQueue = new Array[Boolean](n)
-    val q = new PushKernel.IntQueue(math.min(n, 1 << 16))
+    val q = new PushKernel.IntQueue(n)
     q.append(s); inQueue(s) = true
     val stats = new Stats
     if (trace != null) trace.record(0L, 1.0)

@@ -40,7 +40,7 @@ object PowerPush {
 
     // ---- Queue phase (Algorithm 3, lines 7-13) ----
     val inQueue = new Array[Boolean](n)
-    val q = new PushKernel.IntQueue(math.min(n, 1 << 16))
+    val q = new PushKernel.IntQueue(n)
     q.append(s); inQueue(s) = true
     var rsum = PushKernel.drain(g, s, pi, r, q, inQueue, PushKernel.rMaxFor(lambda, m), alpha, stats,
       cap = scanThreshold, stopSum = lambda, trace = trace, traceEvery = traceEvery)

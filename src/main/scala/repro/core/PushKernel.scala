@@ -17,20 +17,17 @@ import repro.graph.CSRGraph
   */
 object PushKernel {
 
-  /** Simple int FIFO ring buffer (grows by doubling). */
-  final class IntQueue(initialCapacity: Int = 1024) {
-    private var buf = new Array[Int](math.max(4, initialCapacity))
+  /** Int FIFO ring buffer of fixed capacity. The push loops queue a node at
+    * most once (`inQueue`), so capacity n always suffices.
+    */
+  final class IntQueue(capacity: Int) {
+    private val buf = new Array[Int](capacity)
     private var head = 0
     private var count = 0
     def size: Int = count
     def isEmpty: Boolean = count == 0
     def append(x: Int): Unit = {
-      if (count == buf.length) {
-        val nb = new Array[Int](buf.length * 2)
-        var i = 0
-        while (i < count) { nb(i) = buf((head + i) % buf.length); i += 1 }
-        buf = nb; head = 0
-      }
+      require(count < buf.length, "append on full queue")
       buf((head + count) % buf.length) = x
       count += 1
     }

@@ -10,7 +10,7 @@ import repro.graph.CSRGraph
   * Because the dead-end→source redirect depends on the (unknown at build
   * time) query source, a walk that reaches a dead end *without stopping* is
   * stored as the marker `~w` (bitwise complement of the dead end's id); at
-  * query time the consumer finishes such a walk live from the query source —
+  * query time [[WalkPhase]] finishes such a walk live from the query source —
   * this keeps index semantics exactly equal to live-walk semantics while the
   * index stays source- and ε-independent.
   *
@@ -22,14 +22,6 @@ final class WalkIndex(val offsets: Array[Long], val endpoints: Array[Int]) {
   def countOf(v: Int): Long = offsets(v + 1) - offsets(v)
   def totalWalks: Long = endpoints.length.toLong
   def sizeBytes: Long = 4L * endpoints.length + 8L * offsets.length
-
-  /** Resolve the k-th stored walk of v (k < countOf(v)) for query source s:
-    * finishes marker walks live from s with `rng`.
-    */
-  def endpoint(v: Int, k: Long, g: CSRGraph, s: Int, alpha: Double, rng: SplittableRandom): Int = {
-    val e = endpoints((offsets(v) + k).toInt)
-    if (e >= 0) e else MonteCarlo.walk(g, s, s, alpha, rng)
-  }
 }
 
 object WalkIndex {

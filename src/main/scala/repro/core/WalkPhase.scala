@@ -23,7 +23,9 @@ object WalkPhase {
     *
     * @param index stored walks, or null for none: v's first `countOf(v)`
     *              walks are read from it where they are issued, the rest are
-    *              walked live
+    *              walked live. A stored dead-end marker is a walk that left
+    *              a dead end without stopping: it takes a lane at s and flips
+    *              its next coin there, as a live walk would
     * @return the estimate with an all-zero residue vector
     */
   def run(g: CSRGraph, s: Int, push: PPRResult, w: Long, alpha: Double,
@@ -49,8 +51,11 @@ object WalkPhase {
     while (pending || live > 0) {
       while (pending && live < Lanes) {
         if (k < wv) {
-          if (k < stored) pi(index.endpoint(cur, k, g, s, alpha, rng)) += inc
-          else { at(live) = cur; weight(live) = inc; live += 1 }
+          if (k < stored) {
+            val e = index.endpoints((index.offsets(cur) + k).toInt)
+            if (e >= 0) pi(e) += inc
+            else { at(live) = s; weight(live) = inc; live += 1 } // a dead-end marker
+          } else { at(live) = cur; weight(live) = inc; live += 1 }
           k += 1
         } else if (next < g.n) {
           val rv = r(next)

@@ -229,27 +229,22 @@ object Harness {
     }
   }
 
-  def fig7Table(): String = {
-    val rows = approxResults.flatMap { case (name, cells) =>
-      cells.groupBy(_.algo).toSeq.sortBy(_._1).map { case (algo, cs) =>
-        name +: algo +: Seq(0.1, 0.2, 0.3, 0.4, 0.5).map { e =>
-          cs.find(c => c.eps == e || c.eps.isNaN).map(c => fmt(c.sec)).getOrElse("-")
-        }
-      }
-    }
-    renderTable("Figure 7 as table: median approximate query time (s) vs eps",
-      Seq("dataset", "algorithm", "eps=0.1", "eps=0.2", "eps=0.3", "eps=0.4", "eps=0.5"), rows)
-  }
+  def fig7Table(): String =
+    approxTable("Figure 7 as table: median approximate query time (s) vs eps", _.sec)
 
-  def fig8Table(): String = {
+  def fig8Table(): String =
+    approxTable("Figure 8 as table: actual l1 error vs eps (ground truth: PowerPush lambda=1e-12)", _.l1)
+
+  /** One row per dataset and algorithm, one `cell` value per ε. */
+  private def approxTable(title: String, cell: ApproxCell => Double): String = {
     val rows = approxResults.flatMap { case (name, cells) =>
       cells.groupBy(_.algo).toSeq.sortBy(_._1).map { case (algo, cs) =>
         name +: algo +: Seq(0.1, 0.2, 0.3, 0.4, 0.5).map { e =>
-          cs.find(c => c.eps == e || c.eps.isNaN).map(c => fmt(c.l1)).getOrElse("-")
+          cs.find(c => c.eps == e || c.eps.isNaN).map(c => fmt(cell(c))).getOrElse("-")
         }
       }
     }
-    renderTable("Figure 8 as table: actual l1 error vs eps (ground truth: PowerPush lambda=1e-12)",
+    renderTable(title,
       Seq("dataset", "algorithm", "eps=0.1", "eps=0.2", "eps=0.3", "eps=0.4", "eps=0.5"), rows)
   }
 }

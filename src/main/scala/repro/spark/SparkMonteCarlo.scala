@@ -5,13 +5,13 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.core.Common
 
-/** Distributed α-random walks as iterative dataflow.
+/** Distributed α-random walks as iterative dataflow, and the one
+  * residue-seeded walk phase (Eq. 13–14) of the Spark layer.
   *
-  * Walks are rows (start, weight, cur, stopped); each superstep every alive
-  * walk stops with probability α or moves to a uniformly random out-neighbor
-  * (dead ends jump back to the query source, §2). The per-walk weight lets
-  * the same engine serve plain Monte-Carlo (weight 1/W) and the FORA/SpeedPPR
-  * phase-2 seeding (weight r(s,v)/W_v).
+  * Walks are rows (cur, weight); each step every walk stops with probability
+  * α or moves to a uniformly random out-neighbor (dead ends jump back to the
+  * query source, §2). The per-walk weight lets the same engine serve plain
+  * Monte-Carlo (weight 1/W) and SpeedPPR's phase 2 (weight r(s,v)/W_v).
   */
 object SparkMonteCarlo {
 
@@ -33,7 +33,10 @@ object SparkMonteCarlo {
 
   /** Run every walk in `starts` (columns: start LONG, weight DOUBLE) to its
     * stop node; returns (id, pi) = per-node summed weights of stopping walks.
-    * Each step is checkpointed lazily and materialised by the alive count.
+    * Each step draws both coins and checkpoints the draws lazily; the walks
+    * that stop are set aside, and only the rest move on, are checkpointed
+    * lazily and counted. The count, the step's one action, materialises both
+    * checkpoints. One `groupBy` at the end sums the stopped walks' weights.
     * P(alive after k) = (1−α)^k, so [[MaxSteps]] = 200 steps leave ~1e-20
     * unstopped mass; any survivors are credited to their current node and
     * the truncation is logged.
@@ -42,49 +45,66 @@ object SparkMonteCarlo {
                     s: Long, alpha: Double, seed: Long): DataFrame = {
     var walks = starts
       .select(col("start").cast("long").as("cur"), col("weight").cast("double").as("weight"))
-      .withColumn("stopped", lit(false))
-      .localCheckpoint(false)
+    var stopped = List.empty[DataFrame]
     var step = 0
-    var alive = walks.where(!col("stopped")).count()
-    while (alive > 0 && step < MaxSteps) {
-      // Draw both randoms in their own projection first: CollapseProject
-      // skips nondeterministic projections, so each is evaluated exactly
-      // once per row and the stop decision stays consistent across columns.
-      val withDraws = walks
-        .join(adj, walks("cur") === adj("id"), "left")
-        .withColumn("stopDraw", rand(seed + step))
-        .withColumn("moveDraw", rand(seed + 7919 + step))
-      val stepped = withDraws.select(
-        when(col("stopped") || col("stopDraw") < alpha, col("cur"))
-          .otherwise(
-            when(col("deg") === 0L, lit(s))
-              .otherwise(element_at(col("nbrs"),
-                (col("moveDraw") * col("deg")).cast("int") + 1)))
-          .as("cur"),
-        col("weight"),
-        (col("stopped") || col("stopDraw") < alpha).as("stopped"),
-      )
-      walks = stepped.localCheckpoint(false)
-      alive = walks.where(!col("stopped")).count()
+    var alive = 0L
+    do {
+      val drawn = walks
+        .select(col("cur"), col("weight"),
+          rand(seed + step).as("stopDraw"), rand(seed + 7919 + step).as("moveDraw"))
+        .localCheckpoint(false)
+      stopped ::= drawn.where(col("stopDraw") < alpha).select("cur", "weight")
+      walks = drawn.where(col("stopDraw") >= alpha)
+        .join(adj, col("cur") === col("id"), "left")
+        .select(
+          when(col("deg") === 0L, lit(s))
+            .otherwise(element_at(col("nbrs"), (col("moveDraw") * col("deg")).cast("int") + 1))
+            .as("cur"),
+          col("weight"),
+        )
+        .localCheckpoint(false)
+      alive = walks.count()
       step += 1
-    }
+    } while (alive > 0 && step < MaxSteps)
     if (alive > 0)
       Console.err.println(s"[SparkMonteCarlo] $alive walks truncated at $MaxSteps steps")
-    walks.groupBy(col("cur").as("id")).agg(sum(col("weight")).as("pi"))
+    // An RDD union: a Dataset union would compile one codegen stage per step.
+    spark.createDataFrame(spark.sparkContext.union((walks :: stopped).map(_.rdd)), walks.schema)
+      .coalesce(spark.sparkContext.defaultParallelism)
+      .groupBy(col("cur").as("id")).agg(sum(col("weight")).as("pi"))
   }
 
-  /** Plain distributed Monte-Carlo Approx-SSPPR (§6.1), W from Eq. (12). */
+  /** The walk phase on a push state (id, …, pi, r): every node v with r > 0
+    * issues W_v = ⌈r·W⌉ walks of weight r/W_v. The walks are spread over
+    * the session's default parallelism, so the W walks of a single source
+    * do not run as one task.
+    *
+    * @return (id, pi) for every node of `state`: π plus the stopped walks'
+    *         weights
+    */
+  def walkPhase(spark: SparkSession, edges: DataFrame, n: Long, s: Long, state: DataFrame,
+                w: Long, alpha: Double, seed: Long): DataFrame = {
+    val starts = state
+      .where(col("r") > 0.0)
+      .withColumn("wv", ceil(col("r") * w).cast("long"))
+      .select(col("id").as("start"), (col("r") / col("wv")).as("weight"),
+        explode(sequence(lit(1L), col("wv"))))
+      .repartition(spark.sparkContext.defaultParallelism)
+    val adj = adjacency(spark, edges, n).persist(StorageLevel.MEMORY_AND_DISK)
+    val walkPi = walkEndpoints(spark, adj, starts, s, alpha, seed)
+    adj.unpersist()
+    state
+      .join(walkPi.withColumnRenamed("pi", "walkPi"), Seq("id"), "left")
+      .select(col("id"), (col("pi") + coalesce(col("walkPi"), lit(0.0))).as("pi"))
+  }
+
+  /** Plain distributed Monte-Carlo Approx-SSPPR (§6.1): the walk phase on
+    * e_s, i.e. W walks of weight 1/W from s, with W from Eq. (12).
+    */
   def run(spark: SparkSession, edges: DataFrame, n: Long, s: Long, eps: Double,
           alpha: Double = 0.2, seed: Long = 1L): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, eps = eps)
-    val w = Common.walkCount(n.toInt, eps, 1.0 / n)
-    val adj = adjacency(spark, edges, n).persist(StorageLevel.MEMORY_AND_DISK)
-    val starts = spark.range(w).select(lit(s).as("start"), lit(1.0 / w).as("weight"))
-    val out = walkEndpoints(spark, adj, starts, s, alpha, seed)
-    val full = spark.range(n).toDF("id")
-      .join(out, Seq("id"), "left")
-      .select(col("id"), coalesce(col("pi"), lit(0.0)).as("pi"))
-    adj.unpersist()
-    full
+    walkPhase(spark, edges, n, s, SparkPPR.initState(spark, edges, n, s),
+      Common.walkCount(n.toInt, eps, 1.0 / n), alpha, seed)
   }
 }

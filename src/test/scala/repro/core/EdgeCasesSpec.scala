@@ -183,6 +183,7 @@ class EdgeCasesSpec extends AnyFunSuite {
       }
     }
     rejects("source s")(BePILite.query(BePILite.preprocess(g, 1, alpha), g.n))
+    Seq(0.0, -1e-9).foreach(d => rejects("delta")(BePILite.preprocess(g, 1, alpha, delta = d)))
   }
 
   test("isActive semantics") {

@@ -94,12 +94,13 @@ class FwdPushSpec extends AnyFunSuite {
     assert(res.stats.pushOps < 100L * g.m)
   }
 
-  test("IntQueue FIFO semantics with growth") {
-    val q = new PushKernel.IntQueue(2)
-    (1 to 100).foreach(q.append)
-    (1 to 50).foreach(i => assert(q.pop() == i))
-    (101 to 150).foreach(q.append)
-    (51 to 150).foreach(i => assert(q.pop() == i))
+  test("IntQueue FIFO semantics with wrap-around at capacity 4") {
+    val q = new PushKernel.IntQueue(4)
+    (1 to 4).foreach(q.append)
+    intercept[IllegalArgumentException](q.append(5))
+    (1 to 2).foreach(i => assert(q.pop() == i))
+    (5 to 6).foreach(q.append) // wraps past the end of the buffer
+    (3 to 6).foreach(i => assert(q.pop() == i))
     assert(q.isEmpty)
     intercept[IllegalArgumentException](q.pop())
   }

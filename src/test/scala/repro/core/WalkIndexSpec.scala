@@ -52,23 +52,25 @@ class WalkIndexSpec extends AnyFunSuite {
   }
 
   test("indexed endpoint distribution matches the exact PPR of the start node") {
-    // Build many walks from a single node and compare against the mixture
-    // distribution: walks from v stop according to a PPR-like distribution.
+    // Walk phase from residue 1 on v with every walk read from the index
+    // (dead-end markers go on from s), against live walks from v.
     val g = GraphGen.randomGraph(40, 4.0, seed = 76)
     val v = 1
     val s = 0
     val walks = 100000
     val idx = WalkIndex.build(g, x => if (x == v) walks else 0, alpha, seed = 77)
-    val rng = new SplittableRandom(78)
-    val counts = new Array[Int](g.n)
-    (0L until idx.countOf(v)).foreach(k => counts(idx.endpoint(v, k, g, s, alpha, rng)) += 1)
+    assert(idx.endpoints.exists(_ < 0), "no dead-end marker to continue")
+    val residue = new Array[Double](g.n)
+    residue(v) = 1.0
+    val push = PPRResult(new Array[Double](g.n), residue, new Stats)
+    val pi = WalkPhase.run(g, s, push, walks, alpha, seed = 78, idx).pi
     // Reference distribution: empirical live walks with the same semantics.
     val ref = new Array[Int](g.n)
-    val rng2 = new SplittableRandom(79)
-    (0 until walks).foreach(_ => ref(MonteCarlo.walk(g, s, v, alpha, rng2)) += 1)
+    val rng = new SplittableRandom(79)
+    (0 until walks).foreach(_ => ref(MonteCarlo.walk(g, s, v, alpha, rng)) += 1)
     (0 until g.n).foreach { u =>
-      assert(math.abs(counts(u) - ref(u)).toDouble / walks < 0.02,
-        s"node $u: idx ${counts(u)} vs live ${ref(u)}")
+      assert(math.abs(pi(u) - ref(u).toDouble / walks) < 0.02,
+        s"node $u: idx ${pi(u)} vs live ${ref(u).toDouble / walks}")
     }
   }
 

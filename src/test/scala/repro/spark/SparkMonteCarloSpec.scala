@@ -53,6 +53,22 @@ class SparkMonteCarloSpec extends SparkSpec {
     assert(math.abs(total - 1.0) < 1e-9)
   }
 
+  test("walkPhase adds every residue to pi and lowers no entry") {
+    val g = GraphGen.randomGraph(30, 3.0, seed = 143)
+    val dead = g.deadEnds.head
+    val edges = CSRGraph.toDataFrame(g, spark)
+    // pi on every third node, residue on every fourth and on a dead end.
+    val piIn = Array.tabulate(g.n)(v => if (v % 3 == 0) 0.01 else 0.0)
+    val rIn = Array.tabulate(g.n)(v => if (v % 4 == 1 || v == dead) 0.03 else 0.0)
+    val state = spark.createDataFrame((0 until g.n).map(v =>
+      (v.toLong, g.outDegree(v).toLong, piIn(v), rIn(v)))).toDF("id", "deg", "pi", "r")
+    val out = SparkMonteCarlo.walkPhase(spark, edges, g.n, 0, state, w = 200, alpha, seed = 17)
+    val piOut = new Array[Double](g.n)
+    out.collect().foreach(r => piOut(r.getLong(0).toInt) = r.getDouble(1))
+    assert(math.abs(piOut.sum - (piIn.sum + rIn.sum)) < 1e-9)
+    (0 until g.n).foreach(v => assert(piOut(v) >= piIn(v), s"node $v"))
+  }
+
   test("dead-end walks are redirected to the query source") {
     val g = CSRGraph.fromEdges(3, Seq(0 -> 1)) // 2 unreachable
     val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 9)
