@@ -28,12 +28,11 @@ object MonteCarlo {
     * e_s, i.e. W walks of weight 1/W from s, with W from Eq. (12).
     */
   def run(g: CSRGraph, s: Int, eps: Double,
-          alpha: Double = Common.DefaultAlpha, mu: Double = Double.NaN,
-          seed: Long = 1L): PPRResult = {
+          alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult = {
     Common.requireArgs(g.n, s, alpha, eps = eps)
     val residue = new Array[Double](g.n)
     residue(s) = 1.0
-    val w = Common.walkCount(g.n, eps, if (mu.isNaN) 1.0 / g.n else mu)
+    val w = Common.walkCount(g.n, eps, 1.0 / g.n)
     val init = PPRResult(new Array[Double](g.n), residue, new Stats)
     WalkPhase.run(g, s, init, w, alpha, seed, index = null)
   }

@@ -97,19 +97,20 @@ object SparkPPR {
     refine(initState(spark, edges, n, s), edges, s, rMax, alpha)
   }
 
+  private val EpochNum = 8 // as core PowerPush
+
   /** Distributed PowerPush: the §5 epoch schedule of thresholds
-    * r'_max = λ^(i/epochNum)/m, finishing at λ/m.
+    * r'_max = λ^(i/[[EpochNum]])/m, finishing at λ/m.
     */
   def powerPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-                lambda: Double, m: Long, alpha: Double = 0.2,
-                epochNum: Int = 8): DataFrame = {
+                lambda: Double, m: Long, alpha: Double = 0.2): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     var epoch = 1
     loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
-      var lamEpoch = math.pow(lambda, epoch.toDouble / epochNum)
-      while (epoch < epochNum && rsum <= lamEpoch) {
+      var lamEpoch = math.pow(lambda, epoch.toDouble / EpochNum)
+      while (epoch < EpochNum && rsum <= lamEpoch) {
         epoch += 1
-        lamEpoch = math.pow(lambda, epoch.toDouble / epochNum)
+        lamEpoch = math.pow(lambda, epoch.toDouble / EpochNum)
       }
       if (rsum <= lambda) None else Some(PushKernel.rMaxFor(lamEpoch, m))
     }

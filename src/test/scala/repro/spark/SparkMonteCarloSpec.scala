@@ -2,32 +2,11 @@ package repro.spark
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.Common
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
+import repro.spark.SparkJobs.jobsStarted
 
 class SparkMonteCarloSpec extends SparkSpec {
   private val alpha = 0.2
-
-  test("adjacency table has a row per node with the right degree") {
-    val g = Fig1.graph
-    val adj = SparkMonteCarlo.adjacency(spark, CSRGraph.toDataFrame(g, spark), g.n)
-    val rows = adj.orderBy("id").collect()
-    assert(rows.length == g.n)
-    assert(rows.map(_.getLong(1)).toSeq == (0 until g.n).map(g.outDegree(_).toLong))
-    // neighbor multisets match
-    rows.foreach { r =>
-      val id = r.getLong(0).toInt
-      assert(r.getSeq[Long](2).map(_.toInt).sorted == g.outNeighbors(id).toSeq.sorted)
-    }
-  }
-
-  test("adjacency handles dead ends with an empty array") {
-    val g = CSRGraph.fromEdges(3, Seq(0 -> 1))
-    val adj = SparkMonteCarlo.adjacency(spark, CSRGraph.toDataFrame(g, spark), g.n)
-    val dead = adj.where(col("id") === 1L).head()
-    assert(dead.getLong(1) == 0L)
-    assert(dead.getSeq[Long](2).isEmpty)
-  }
 
   test("distributed Monte-Carlo approximates exact PPR on Fig1") {
     val g = Fig1.graph
@@ -42,15 +21,23 @@ class SparkMonteCarloSpec extends SparkSpec {
     }
   }
 
-  test("walk weights are conserved through the walk engine") {
-    val g = GraphGen.randomGraph(30, 3.0, seed = 131)
-    val edges = CSRGraph.toDataFrame(g, spark)
-    val adj = SparkMonteCarlo.adjacency(spark, edges, g.n)
-    val starts = spark.range(500).select(
-      (col("id") % g.n).as("start"), lit(0.002).as("weight"))
-    val out = SparkMonteCarlo.walkEndpoints(spark, adj, starts, 0, alpha, seed = 7)
-    val total = out.agg(sum(col("pi"))).head().getDouble(0)
-    assert(math.abs(total - 1.0) < 1e-9)
+  test("long walks at alpha = 0.05 take a few jobs and are never cut short") {
+    // eps = 0.1 gives W = 3 326 walks from the source, each of 19 steps on
+    // average; the longest of them run for well over 100 steps.
+    val g = Fig1.graph
+    val a = 0.05
+    val exact = ExactPPR.solve(g, 0, a)
+    val (pi, jobs) = jobsStarted(spark) {
+      val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.1, a, seed = 3)
+      val pi = new Array[Double](g.n)
+      out.collect().foreach(r => pi(r.getLong(0).toInt) = r.getDouble(1))
+      pi
+    }
+    assert(jobs < 40)
+    assert(math.abs(pi.sum - 1.0) < 1e-9)
+    (0 until g.n).foreach { v =>
+      assert(math.abs(pi(v) - exact(v)) < 0.05, s"node $v: ${pi(v)} vs ${exact(v)}")
+    }
   }
 
   test("walkPhase adds every residue to pi and lowers no entry") {

@@ -1,12 +1,11 @@
 package repro.spark
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
 import repro.core.{Common, PowItr, PushKernel}
+import repro.spark.SparkJobs.jobsStarted
 
 class SparkPPRSpec extends SparkSpec {
   private val alpha = 0.2
@@ -175,15 +174,7 @@ class SparkPPRSpec extends SparkSpec {
       ("SparkSpeedPPR.run", (s, a, x) => SparkSpeedPPR.run(spark, edges, n, g.m, s, x, a),
         badS, Seq(0.0, 1.0)),
     )
-    val sc = spark.sparkContext
-    val jobGroups = new ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        jobGroups.add(Option(e.properties).map(_.getProperty("spark.jobGroup.id", "")).getOrElse(""))
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("contracts", "invalid arguments")
+    val (_, jobs) = jobsStarted(spark) {
       for ((name, entry, sources, xs) <- entries) {
         val bad = sources.map((_, alpha, 0.5)) ++ Seq(0.0, 1.0).map((0L, _, 0.5)) ++
           xs.map((0L, alpha, _))
@@ -191,53 +182,17 @@ class SparkPPRSpec extends SparkSpec {
           intercept[IllegalArgumentException](entry(s, a, x))
         }
       }
-      // Listener events arrive in job order, so once this job is seen every
-      // job started above has been seen too.
-      sc.setJobGroup("barrier", "listener barrier")
-      sc.parallelize(Seq(1), 1).count()
-      val deadline = System.nanoTime() + 10000000000L
-      while (!jobGroups.contains("barrier") && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(jobGroups.contains("barrier"))
-      assert(!jobGroups.contains("contracts"), "an entry launched a Spark job before failing")
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
     }
-  }
-
-  /** Runs `body` in its own job group and counts the Spark jobs it started,
-    * with the listener-plus-barrier pattern of the test above.
-    */
-  private def jobsStarted[A](body: => A): (A, Int) = {
-    val sc = spark.sparkContext
-    val jobGroups = new ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        jobGroups.add(Option(e.properties).map(_.getProperty("spark.jobGroup.id", "")).getOrElse(""))
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("counted", "counted call")
-      val out = body
-      sc.setJobGroup("barrier", "listener barrier")
-      sc.parallelize(Seq(1), 1).count()
-      val deadline = System.nanoTime() + 10000000000L
-      while (!jobGroups.contains("barrier") && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(jobGroups.contains("barrier"))
-      (out, jobGroups.toArray.count(_ == "counted"))
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
-    }
+    assert(jobs == 0, "an entry launched a Spark job before failing")
   }
 
   test("dead-end source: every entry meets lambda in a few jobs and leaves nothing cached") {
     // A dead-end source keeps all of its mass: exact PPR is e_s, and one push
     // superstep settles it. On a 4-core local session each push entry started
     // 5-8 jobs here (adaptive execution submits every shuffle map stage as a
-    // job) and SparkSpeedPPR 11-14; spinning to the 500-superstep cap started
-    // 2 500 (powerPush) and 5 000 (SparkSpeedPPR) on n = 1. The bound leaves
-    // ~3x headroom over the largest.
+    // job), SparkMonteCarlo 7-9 and SparkSpeedPPR 11-14; spinning to the
+    // 500-superstep cap started 2 500 (powerPush) and 5 000 (SparkSpeedPPR)
+    // on n = 1. The bound leaves ~3x headroom over the largest.
     val maxJobs = 40
     val lambda = 1e-8
     val cache = spark.asInstanceOf[org.apache.spark.sql.classic.SparkSession].sharedState.cacheManager
@@ -253,22 +208,17 @@ class SparkPPRSpec extends SparkSpec {
         "fwdPush" -> (() => SparkPPR.fwdPush(spark, edges, n, 0, rMax, alpha)),
         "powerPush" -> (() => SparkPPR.powerPush(spark, edges, n, 0, lambda, g.m, alpha)),
         "refine" -> (() => SparkPPR.refine(SparkPPR.initState(spark, edges, n, 0), edges, 0, rMax, alpha)),
+        "SparkMonteCarlo.run" -> (() => SparkMonteCarlo.run(spark, edges, n, 0, 0.5, alpha)),
         "SparkSpeedPPR.run" -> (() => SparkSpeedPPR.run(spark, edges, n, g.m, 0, 0.5, alpha)),
       )
-      def check(name: String, out: DataFrame): Unit = withClue(s"$name on n = ${g.n}, m = ${g.m}: ") {
+      for ((name, entry) <- entries) withClue(s"$name on n = ${g.n}, m = ${g.m}: ") {
+        val (out, jobs) = jobsStarted(spark)(entry())
+        assert(jobs < maxJobs)
         val pi = collectCol(out, g.n, "pi")
         assert(Common.l1Diff(pi, exact) <= lambda)
         assert(math.abs(pi.sum - 1.0) <= 1e-9)
         assert(cache.isEmpty)
       }
-      for ((name, entry) <- entries) {
-        val (out, jobs) = jobsStarted(entry())
-        withClue(s"$name on n = ${g.n}, m = ${g.m}: ")(assert(jobs < maxJobs))
-        check(name, out)
-      }
-      // The walk engine's step count follows the walk lengths, not the
-      // source, so its jobs are not bounded here.
-      check("SparkMonteCarlo.run", SparkMonteCarlo.run(spark, edges, n, 0, 0.5, alpha))
     }
   }
 }
