@@ -33,7 +33,7 @@ final class CSRGraph(val n: Int, val offset: Array[Int], val edges: Array[Int]) 
     while (i < end) { f(edges(i)); i += 1 }
   }
 
-  /** Out-neighbors of v as a (shared, do-not-mutate) slice view. */
+  /** Out-neighbors of v, as a fresh copy of its adjacency list. */
   def outNeighbors(v: Int): Array[Int] =
     java.util.Arrays.copyOfRange(edges, offset(v), offset(v + 1))
 
@@ -46,41 +46,70 @@ final class CSRGraph(val n: Int, val offset: Array[Int], val edges: Array[Int]) 
 
 object CSRGraph {
 
-  /** Build a CSR graph from an edge list. Duplicate edges are kept (the
-    * paper's transition matrix is defined off the multiset of out-edges;
-    * generators below avoid duplicates anyway). Ids must be in [0, n).
+  /** A growable (src, dst) edge list in two primitive arrays, doubled when
+    * full. `toCSR` is the one place a CSR graph is built; every generator and
+    * loader feeds one of these. Duplicate edges are kept (the paper's
+    * transition matrix is defined off the multiset of out-edges; the
+    * generators avoid duplicates anyway).
+    *
+    * @param capacity initial capacity in edges; a size hint, not a limit
+    */
+  final class EdgeBuffer(capacity: Int) {
+    private var src = new Array[Int](math.max(1, capacity))
+    private var dst = new Array[Int](src.length)
+    private var size = 0
+
+    def add(s: Int, d: Int): Unit = {
+      if (size == src.length) {
+        src = java.util.Arrays.copyOf(src, 2 * size)
+        dst = java.util.Arrays.copyOf(dst, 2 * size)
+      }
+      src(size) = s; dst(size) = d; size += 1
+    }
+
+    /** Counting-sort the edges by source into a CSR graph on ids [0, n),
+      * each adjacency list sorted so the layout is deterministic in id order.
+      */
+    def toCSR(n: Int): CSRGraph = {
+      val offset = new Array[Int](n + 1)
+      var i = 0
+      while (i < size) {
+        val s = src(i); val d = dst(i)
+        require(s >= 0 && s < n && d >= 0 && d < n, s"edge ($s,$d) out of [0,$n)")
+        offset(s + 1) += 1
+        i += 1
+      }
+      i = 0
+      while (i < n) { offset(i + 1) += offset(i); i += 1 }
+      val edges = new Array[Int](size)
+      val cursor = java.util.Arrays.copyOf(offset, n)
+      i = 0
+      while (i < size) { val s = src(i); edges(cursor(s)) = dst(i); cursor(s) += 1; i += 1 }
+      i = 0
+      while (i < n) { java.util.Arrays.sort(edges, offset(i), offset(i + 1)); i += 1 }
+      new CSRGraph(n, offset, edges)
+    }
+  }
+
+  /** Build a CSR graph from an edge list (see `EdgeBuffer`). Ids must be in
+    * [0, n).
     */
   def fromEdges(n: Int, edgeList: Iterable[(Int, Int)]): CSRGraph = {
-    val deg = new Array[Int](n)
-    var m = 0
-    edgeList.foreach { case (s, d) =>
-      require(s >= 0 && s < n && d >= 0 && d < n, s"edge ($s,$d) out of [0,$n)")
-      deg(s) += 1; m += 1
-    }
-    val offset = new Array[Int](n + 1)
-    var i = 0
-    while (i < n) { offset(i + 1) = offset(i) + deg(i); i += 1 }
-    val edges = new Array[Int](m)
-    val cursor = offset.clone()
-    edgeList.foreach { case (s, d) => edges(cursor(s)) = d; cursor(s) += 1 }
-    // Sort each adjacency list so the layout is deterministic in id order.
-    i = 0
-    while (i < n) {
-      java.util.Arrays.sort(edges, offset(i), offset(i + 1))
-      i += 1
-    }
-    new CSRGraph(n, offset, edges)
+    val buf = new EdgeBuffer(edgeList.knownSize)
+    edgeList.foreach { case (s, d) => buf.add(s, d) }
+    buf.toCSR(n)
   }
 
   /** Collect a (src, dst) edge DataFrame into a local CSR graph.
     * Intended for driver-side algorithms on bench-scale graphs.
     */
   def fromDataFrame(edges: DataFrame, n: Int): CSRGraph = {
-    val pairs = edges
+    val rows = edges
       .selectExpr("cast(src as int) src", "cast(dst as int) dst")
       .collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
-    fromEdges(n, pairs.toIndexedSeq)
+    val buf = new EdgeBuffer(rows.length)
+    rows.foreach(r => buf.add(r.getInt(0), r.getInt(1)))
+    buf.toCSR(n)
   }
 
   /** Expose a CSR graph as a Spark (src, dst) edge DataFrame. */

@@ -1,7 +1,6 @@
 package repro.graph
 
 import java.util.Random
-import scala.collection.mutable
 
 /** Deterministic synthetic graph generators.
   *
@@ -79,21 +78,21 @@ object GraphGen {
       if (k >= n - nDead) 0 // highest ids become dead ends
       else math.max(1, math.min(n / 2, math.round(avgDeg * w(k) / meanW).toInt))
     }
-    val sb = Vector.newBuilder[(Int, Int)]
-    val seen = new mutable.HashSet[Int]
+    val buf = new CSRGraph.EdgeBuffer(targetDeg.sum)
+    val mark = Array.fill(n)(-1) // mark(t) == v: v already drew t
     var v = 0
     while (v < n) {
-      seen.clear()
       val d = targetDeg(v)
+      var drawn = 0
       var tries = 0
-      while (seen.size < d && tries < d * 20) {
+      while (drawn < d && tries < d * 20) {
         val t = powerLawDraw(rng, n, beta)
-        if (t != v && !seen.contains(t)) { seen += t; sb += ((v, t)) }
+        if (t != v && mark(t) != v) { mark(t) = v; buf.add(v, t); drawn += 1 }
         tries += 1
       }
       v += 1
     }
-    CSRGraph.fromEdges(n, sb.result())
+    buf.toCSR(n)
   }
 
   /** Undirected scale-free graph materialized as both directed arcs, exactly
@@ -106,46 +105,81 @@ object GraphGen {
     val rng = new Random(seed)
     val w = Array.tabulate(n)(k => math.pow(k + 1.0, -beta))
     val meanW = w.sum / n
-    val pairs = new mutable.HashSet[Long]
-    val sb = Vector.newBuilder[(Int, Int)]
+    val deg = Array.tabulate(n)(v =>
+      math.max(1, math.min(n / 2, math.round(avgDeg * w(v) / meanW).toInt)))
+    val pairs = new LongSet(deg.sum)
+    val buf = new CSRGraph.EdgeBuffer(2 * deg.sum)
     var v = 0
     while (v < n) {
-      val d = math.max(1, math.min(n / 2, math.round(avgDeg * w(v) / meanW).toInt))
+      val d = deg(v)
       var added = 0
       var tries = 0
       while (added < d && tries < d * 20) {
         val t = powerLawDraw(rng, n, beta)
         val key = math.min(v, t).toLong * n + math.max(v, t)
-        if (t != v && !pairs.contains(key)) {
-          pairs += key
-          sb += ((v, t)); sb += ((t, v))
+        if (t != v && pairs.add(key)) {
+          buf.add(v, t); buf.add(t, v)
           added += 1
         }
         tries += 1
       }
       v += 1
     }
-    CSRGraph.fromEdges(n, sb.result())
+    buf.toCSR(n)
   }
 
   /** Uniform random directed graph (Erdős–Rényi-ish), for property tests. */
   def randomGraph(n: Int, avgDeg: Double, seed: Long = 7L,
                   allowDeadEnds: Boolean = true): CSRGraph = {
     val rng = new Random(seed)
-    val sb = Vector.newBuilder[(Int, Int)]
+    val buf = new CSRGraph.EdgeBuffer(n)
+    val mark = Array.fill(n)(-1) // mark(t) == v: v already drew t
     var v = 0
     while (v < n) {
       // Poisson-ish degree via geometric trials around avgDeg.
       val base = if (allowDeadEnds && rng.nextDouble() < 0.05) 0
                  else 1 + rng.nextInt(math.max(1, (2 * avgDeg).toInt))
-      val seen = new mutable.HashSet[Int]
-      while (seen.size < math.min(base, n - 1)) {
+      val d = math.min(base, n - 1)
+      var drawn = 0
+      while (drawn < d) {
         val t = rng.nextInt(n)
-        if (t != v) seen += t
+        if (t != v && mark(t) != v) { mark(t) = v; buf.add(v, t); drawn += 1 }
       }
-      seen.foreach(t => sb += ((v, t)))
       v += 1
     }
-    CSRGraph.fromEdges(n, sb.result())
+    buf.toCSR(n)
+  }
+
+  /** Open-addressing set of non-negative Long keys (linear probing; −1 marks
+    * an empty slot), kept at most half full.
+    */
+  private final class LongSet(expected: Int) {
+    private var slots = emptySlots(math.max(16, Integer.highestOneBit(math.max(1, expected)) * 4))
+    private var size = 0
+
+    private def emptySlots(capacity: Int): Array[Long] = {
+      val a = new Array[Long](capacity)
+      java.util.Arrays.fill(a, -1L)
+      a
+    }
+
+    /** Insert `key`; true if it was not already in the set. */
+    def add(key: Long): Boolean = {
+      val mask = slots.length - 1
+      var i = (key * 0x9E3779B97F4A7C15L >>> 32).toInt & mask
+      while (slots(i) != -1L && slots(i) != key) i = (i + 1) & mask
+      if (slots(i) == key) false
+      else {
+        slots(i) = key
+        size += 1
+        if (2 * size > slots.length) {
+          val old = slots
+          slots = emptySlots(2 * old.length)
+          size = 0
+          old.foreach(k => if (k != -1L) add(k))
+        }
+        true
+      }
+    }
   }
 }

@@ -1,5 +1,6 @@
 package repro.graph
 
+import java.util.Arrays
 import org.scalatest.funsuite.AnyFunSuite
 
 class GraphGenSpec extends AnyFunSuite {
@@ -19,9 +20,22 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("different seeds give different graphs") {
-    val d = GraphGen.tinyDatasets.head
     assert(GraphGen.scaleFree(500, 4.0, seed = 1).edges.toSeq !=
            GraphGen.scaleFree(500, 4.0, seed = 2).edges.toSeq)
+  }
+
+  test("generated graphs are pinned bit for bit") {
+    // (n, m, hash of offset, hash of edges): any change to the generators'
+    // draws or to the CSR layout changes every seeded output in the repo.
+    def fingerprint(g: CSRGraph) = (g.n, g.m, Arrays.hashCode(g.offset), Arrays.hashCode(g.edges))
+    val pinned = Seq(
+      GraphGen.byName("twitter-lite").generate(42) -> (41700, 1465150, 537804176, 2015859211),
+      GraphGen.byName("orkut-lite").generate(42) -> (15350, 1171252, -1830873472, -1306602460),
+      GraphGen.byName("webst-lite-tiny").generate(42) -> (141, 1148, -962412015, -1332928194),
+      GraphGen.byName("dblp-lite-tiny").generate(42) -> (158, 1060, 1050329136, -128654244),
+      GraphGen.randomGraph(200, 4.0, seed = 11) -> (200, 828, -1156236617, 664386008),
+    )
+    pinned.foreach { case (g, expected) => assert(fingerprint(g) == expected) }
   }
 
   test("directed stand-ins land near the target average degree") {

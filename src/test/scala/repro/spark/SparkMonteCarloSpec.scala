@@ -11,8 +11,9 @@ class SparkMonteCarloSpec extends SparkSpec {
   test("distributed Monte-Carlo approximates exact PPR on Fig1") {
     val g = Fig1.graph
     val exact = ExactPPR.solve(g, 0, alpha)
-    // eps=0.5 at n=5 gives a few thousand walks — cheap but accurate.
-    val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 5)
+    // eps = 0.1 at n = 5 gives W = 3 326 walks, so sigma at node 0
+    // (pi = 0.327) is ~0.008 and the 0.05 bound is ~6 sigma.
+    val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.1, alpha, seed = 5)
     val pi = new Array[Double](g.n)
     out.collect().foreach(r => pi(r.getLong(0).toInt) = r.getDouble(1))
     assert(math.abs(pi.sum - 1.0) < 1e-9)
