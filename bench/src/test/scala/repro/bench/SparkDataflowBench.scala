@@ -2,9 +2,8 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Common
-import repro.graph.CSRGraph
 import repro.harness.Harness
-import repro.spark.SparkPPR
+import repro.spark.{SparkGraph, SparkPPR}
 
 /** Our distributed-dataflow addendum (DESIGN.md §5): run the Spark
   * versions on one stand-in (the first of `Harness.bundles`, so
@@ -22,7 +21,7 @@ class SparkDataflowBench extends SparkSpec {
     val b = Harness.bundles.head
     val g = b.g
     val s = b.sources.head
-    val edges = CSRGraph.toDataFrame(g, spark).cache()
+    val edges = SparkGraph.toDataFrame(g, spark).cache()
     edges.count()
     val local = repro.core.PowerPush.run(g, s, 1e-10, Harness.Alpha).pi
     def l1(df: org.apache.spark.sql.DataFrame): Double = {

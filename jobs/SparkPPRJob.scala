@@ -1,9 +1,9 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.{CSRGraph, GraphGen}
+import repro.graph.GraphGen
 import repro.harness.Harness
-import repro.spark.{SparkPPR, SparkSpeedPPR}
+import repro.spark.{SparkGraph, SparkPPR, SparkSpeedPPR}
 
 /** spark-submit entrypoint demonstrating the distributed-dataflow versions
   * (SparkPPR / SparkSpeedPPR) on a dataset stand-in.
@@ -22,7 +22,7 @@ object SparkPPRJob {
       val ds = GraphGen.byName(dsName)
       val g = ds.generate()
       val s = (0 until g.n).find(g.outDegree(_) > 0).get
-      val edges = CSRGraph.toDataFrame(g, spark).cache()
+      val edges = SparkGraph.toDataFrame(g, spark).cache()
       edges.count()
       val (_, tPow) = Harness.timeSec(SparkPPR.powItr(spark, edges, g.n, s, lambda))
       val (dfPP, tPP) = Harness.timeSec(SparkPPR.powerPush(spark, edges, g.n, s, lambda, g.m))

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.stream.IntStream
 import repro.graph.CSRGraph
 
 /** Pre-generated α-random-walk endpoints — the index structure behind FORA+
@@ -40,26 +41,54 @@ object WalkIndex {
     throw new IllegalStateException("unreachable")
   }
 
+  /** Walks per block of the build: a block is a run of whole nodes that
+    * ends once it holds this many walks (the last block may hold fewer).
+    */
+  private final val BlockWalks = 1 << 15
+
   /** Build an index with `walksFor(v)` stored walks per node.
     *
     *  - FORA+ uses K_v = ⌈d_v·√(W/m)⌉ + 1 (ε-dependent through W).
     *  - SpeedPPR-Index uses exactly d_v (ε-independent, total ≤ m).
+    *
+    * The nodes are cut into blocks of about [[BlockWalks]] walks, and the
+    * blocks fill their slots in parallel on the current fork-join pool.
+    * Block 0 draws from `SplittableRandom(seed)`, block b ≥ 1 from the
+    * b-th `split()` of another `SplittableRandom(seed)`. The streams are
+    * fixed by (seed, b) alone, so the index is the same at any thread count,
+    * and an index of one block is the same as one serial walk loop's.
     */
   def build(g: CSRGraph, walksFor: Int => Int,
             alpha: Double = Common.DefaultAlpha, seed: Long = 99L): WalkIndex = {
-    val rng = new SplittableRandom(seed)
     val offsets = new Array[Long](g.n + 1)
     var v = 0
     while (v < g.n) { offsets(v + 1) = offsets(v) + math.max(0, walksFor(v)); v += 1 }
     val total = offsets(g.n)
     require(total <= Int.MaxValue, s"index too large: $total walks")
     val endpoints = new Array[Int](total.toInt)
-    v = 0
+    // Block b covers nodes firstNode(b) until firstNode(b + 1).
+    val cuts = Array.newBuilder[Int]
+    cuts += 0
+    var blockEnd = BlockWalks.toLong
+    v = 1
     while (v < g.n) {
-      var k = offsets(v)
-      val end = offsets(v + 1)
-      while (k < end) { endpoints(k.toInt) = indexWalk(g, v, alpha, rng); k += 1 }
+      if (offsets(v) >= blockEnd) { cuts += v; blockEnd = offsets(v) + BlockWalks }
       v += 1
+    }
+    cuts += g.n
+    val firstNode = cuts.result()
+    val blocks = firstNode.length - 1
+    val streams = new SplittableRandom(seed)
+    val rngs = Array.tabulate(blocks)(b => if (b == 0) new SplittableRandom(seed) else streams.split())
+    IntStream.range(0, blocks).parallel().forEach { b =>
+      val rng = rngs(b)
+      var u = firstNode(b)
+      while (u < firstNode(b + 1)) {
+        var k = offsets(u).toInt
+        val end = offsets(u + 1).toInt
+        while (k < end) { endpoints(k) = indexWalk(g, u, alpha, rng); k += 1 }
+        u += 1
+      }
     }
     new WalkIndex(offsets, endpoints)
   }

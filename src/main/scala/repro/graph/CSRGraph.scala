@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Compact in-memory directed graph in CSR (compressed sparse row) layout.
   *
   * This is the storage format the paper's `PowerPush` relies on: nodes sorted
@@ -98,26 +96,5 @@ object CSRGraph {
     val buf = new EdgeBuffer(edgeList.knownSize)
     edgeList.foreach { case (s, d) => buf.add(s, d) }
     buf.toCSR(n)
-  }
-
-  /** Collect a (src, dst) edge DataFrame into a local CSR graph.
-    * Intended for driver-side algorithms on bench-scale graphs.
-    */
-  def fromDataFrame(edges: DataFrame, n: Int): CSRGraph = {
-    val rows = edges
-      .selectExpr("cast(src as int) src", "cast(dst as int) dst")
-      .collect()
-    val buf = new EdgeBuffer(rows.length)
-    rows.foreach(r => buf.add(r.getInt(0), r.getInt(1)))
-    buf.toCSR(n)
-  }
-
-  /** Expose a CSR graph as a Spark (src, dst) edge DataFrame. */
-  def toDataFrame(g: CSRGraph, spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val buf = new scala.collection.mutable.ArrayBuffer[(Int, Int)](g.m)
-    var v = 0
-    while (v < g.n) { g.foreachOut(v)(u => buf += ((v, u))); v += 1 }
-    buf.toSeq.toDF("src", "dst")
   }
 }

@@ -35,7 +35,7 @@ object SparkMonteCarlo {
   def walkPhase(spark: SparkSession, edges: DataFrame, n: Long, s: Long, stateIn: DataFrame,
                 w: Long, alpha: Double, seed: Long): DataFrame = {
     val state = stateIn.localCheckpoint(false)
-    val g = CSRGraph.fromDataFrame(edges, n.toInt)
+    val g = SparkGraph.fromDataFrame(edges, n.toInt)
     val sc = spark.sparkContext
     val csr = sc.broadcast((g.offset, g.edges))
     val walkPi = try {

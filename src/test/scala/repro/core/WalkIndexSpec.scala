@@ -1,17 +1,26 @@
 package repro.core
 
-import java.util.SplittableRandom
+import java.util.{Arrays, SplittableRandom}
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, ExactPPR, GraphGen}
 
 class WalkIndexSpec extends AnyFunSuite {
   private val alpha = 0.2
 
+  /** Enough walks for several build blocks (a block holds about 2^15). */
+  private lazy val multiBlock = {
+    val g = GraphGen.randomGraph(20000, 8.0, seed = 81)
+    assert(g.m > 3 * (1 << 15))
+    g
+  }
+
   test("SpeedPPR index stores exactly d_v walks per node, total = m") {
-    val g = GraphGen.randomGraph(100, 4.0, seed = 71)
-    val idx = WalkIndex.buildSpeedPPR(g, alpha)
-    assert(idx.totalWalks == g.m)
-    (0 until g.n).foreach(v => assert(idx.countOf(v) == g.outDegree(v)))
+    for (g <- Seq(GraphGen.randomGraph(100, 4.0, seed = 71), multiBlock)) {
+      val idx = WalkIndex.buildSpeedPPR(g, alpha)
+      assert(idx.totalWalks == g.m)
+      (0 until g.n).foreach(v => assert(idx.countOf(v) == g.outDegree(v)))
+    }
   }
 
   test("SpeedPPR index size is independent of eps by construction") {
@@ -42,12 +51,13 @@ class WalkIndexSpec extends AnyFunSuite {
   }
 
   test("stored endpoints are either valid nodes or dead-end markers") {
-    val g = GraphGen.randomGraph(100, 4.0, seed = 75)
-    val idx = WalkIndex.buildSpeedPPR(g, alpha)
-    idx.endpoints.foreach { e =>
-      val node = if (e >= 0) e else ~e
-      assert(node >= 0 && node < g.n)
-      if (e < 0) assert(g.outDegree(~e) == 0, "marker must reference a dead end")
+    for (g <- Seq(GraphGen.randomGraph(100, 4.0, seed = 75), multiBlock)) {
+      val idx = WalkIndex.buildSpeedPPR(g, alpha)
+      idx.endpoints.foreach { e =>
+        val node = if (e >= 0) e else ~e
+        assert(node >= 0 && node < g.n)
+        if (e < 0) assert(g.outDegree(~e) == 0, "marker must reference a dead end")
+      }
     }
   }
 
@@ -79,5 +89,24 @@ class WalkIndexSpec extends AnyFunSuite {
     val a = WalkIndex.buildSpeedPPR(g, alpha, seed = 13)
     val b = WalkIndex.buildSpeedPPR(g, alpha, seed = 13)
     assert(a.endpoints.toSeq == b.endpoints.toSeq)
+  }
+
+  test("the index is the same at any thread count") {
+    def buildOn(threads: Int): Array[Int] = {
+      val pool = new ForkJoinPool(threads)
+      try pool.submit(new Callable[Array[Int]] {
+        def call(): Array[Int] = WalkIndex.buildSpeedPPR(multiBlock, alpha, seed = 13).endpoints
+      }).get()
+      finally pool.shutdown()
+    }
+    assert(Arrays.equals(buildOn(1), buildOn(3)))
+  }
+
+  test("a one-block index is pinned bit for bit") {
+    // (n, m, hash of endpoints): the same as one serial walk loop from
+    // SplittableRandom(seed) gives, since a one-block build draws from it.
+    val g = GraphGen.randomGraph(100, 4.0, seed = 71)
+    val idx = WalkIndex.buildSpeedPPR(g, seed = 99)
+    assert((g.n, g.m, Arrays.hashCode(idx.endpoints)) == ((100, 429, -422571035)))
   }
 }

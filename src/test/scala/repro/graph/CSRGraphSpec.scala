@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.spark.SparkGraph
 
 /** A five-node example graph consistent with the paper's Figure-2/Figure-3
   * running examples (v1..v5 → ids 0..4): v1→{v2,v3}, v2→{v1,v3,v4,v5},
@@ -89,8 +90,8 @@ class CSRGraphSpec extends AnyFunSuite {
   test("dataframe round trip preserves the graph") {
     val spark = repro.SparkSpec.shared
     val g = GraphGen.randomGraph(50, 3.0, seed = 8)
-    val df = CSRGraph.toDataFrame(g, spark)
-    val g2 = CSRGraph.fromDataFrame(df, g.n)
+    val df = SparkGraph.toDataFrame(g, spark)
+    val g2 = SparkGraph.fromDataFrame(df, g.n)
     assert(g2.n == g.n && g2.m == g.m)
     assert((0 until g.n).forall(v => g.outNeighbors(v).toSeq == g2.outNeighbors(v).toSeq))
   }

@@ -13,7 +13,7 @@ class SparkMonteCarloSpec extends SparkSpec {
     val exact = ExactPPR.solve(g, 0, alpha)
     // eps = 0.1 at n = 5 gives W = 3 326 walks, so sigma at node 0
     // (pi = 0.327) is ~0.008 and the 0.05 bound is ~6 sigma.
-    val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.1, alpha, seed = 5)
+    val out = SparkMonteCarlo.run(spark, SparkGraph.toDataFrame(g, spark), g.n, 0, 0.1, alpha, seed = 5)
     val pi = new Array[Double](g.n)
     out.collect().foreach(r => pi(r.getLong(0).toInt) = r.getDouble(1))
     assert(math.abs(pi.sum - 1.0) < 1e-9)
@@ -29,7 +29,7 @@ class SparkMonteCarloSpec extends SparkSpec {
     val a = 0.05
     val exact = ExactPPR.solve(g, 0, a)
     val (pi, jobs) = jobsStarted(spark) {
-      val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.1, a, seed = 3)
+      val out = SparkMonteCarlo.run(spark, SparkGraph.toDataFrame(g, spark), g.n, 0, 0.1, a, seed = 3)
       val pi = new Array[Double](g.n)
       out.collect().foreach(r => pi(r.getLong(0).toInt) = r.getDouble(1))
       pi
@@ -44,7 +44,7 @@ class SparkMonteCarloSpec extends SparkSpec {
   test("walkPhase adds every residue to pi and lowers no entry") {
     val g = GraphGen.randomGraph(30, 3.0, seed = 143)
     val dead = g.deadEnds.head
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     // pi on every third node, residue on every fourth and on a dead end.
     val piIn = Array.tabulate(g.n)(v => if (v % 3 == 0) 0.01 else 0.0)
     val rIn = Array.tabulate(g.n)(v => if (v % 4 == 1 || v == dead) 0.03 else 0.0)
@@ -59,14 +59,14 @@ class SparkMonteCarloSpec extends SparkSpec {
 
   test("dead-end walks are redirected to the query source") {
     val g = CSRGraph.fromEdges(3, Seq(0 -> 1)) // 2 unreachable
-    val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 9)
+    val out = SparkMonteCarlo.run(spark, SparkGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 9)
     val pi2 = out.where(col("id") === 2L).head().getDouble(1)
     assert(pi2 == 0.0)
   }
 
   test("one-node graph: the single walk stops at the source, pi(0) = 1") {
     val g = CSRGraph.fromEdges(1, Nil)
-    val out = SparkMonteCarlo.run(spark, CSRGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 9)
+    val out = SparkMonteCarlo.run(spark, SparkGraph.toDataFrame(g, spark), g.n, 0, 0.5, alpha, seed = 9)
     assert(math.abs(out.head().getDouble(1) - 1.0) < 1e-9)
   }
 }

@@ -18,7 +18,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("initState puts residue 1 at the source and degrees everywhere") {
     val g = Fig1.graph
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val st = SparkPPR.initState(spark, edges, g.n, 0)
     val rows = st.orderBy("id").collect()
     assert(rows.length == g.n)
@@ -29,7 +29,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("one pushStep at rMax=0 equals one PowItr iteration (oracle vs local)") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 121, allowDeadEnds = false)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val st = SparkPPR.initState(spark, edges, g.n, 0)
     val next = SparkPPR.pushStep(st, edges, 0, alpha, 0.0)
     val rSpark = collectCol(next, g.n, "r")
@@ -47,7 +47,7 @@ class SparkPPRSpec extends SparkSpec {
     // One dataflow power-iteration step expressed relationally: the residue
     // received by u is sum over in-edges (v,u) of (1-alpha)*r(v)/deg(v).
     val g = GraphGen.randomGraph(30, 3.0, seed = 122, allowDeadEnds = false)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val st = SparkPPR.initState(spark, edges, g.n, 0)
     // seed a non-trivial residue state: two supersteps from the start
     val st2 = SparkPPR.pushStep(SparkPPR.pushStep(st, edges, 0, alpha, 0.0), edges, 0, alpha, 0.0)
@@ -74,7 +74,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("out-degree computation vs DuckDB SQL oracle") {
     val g = GraphGen.randomGraph(50, 4.0, seed = 123)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val got = edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
     Oracle.assertEquivalent(
       got,
@@ -85,7 +85,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("distributed PowItr matches the local exact solution") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 124)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val exact = ExactPPR.solve(g, 0, alpha)
     val out = SparkPPR.powItr(spark, edges, g.n, 0, lambda = 1e-5, alpha = alpha)
     val pi = collectCol(out, g.n, "pi")
@@ -94,7 +94,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("distributed frontier FwdPush terminates with no active node") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 125)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val rMax = 1e-4
     val out = SparkPPR.fwdPush(spark, edges, g.n, 0, rMax, alpha)
     val r = collectCol(out, g.n, "r")
@@ -106,7 +106,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("distributed PowerPush reaches lambda and matches exact") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 126)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val exact = ExactPPR.solve(g, 0, alpha)
     val out = SparkPPR.powerPush(spark, edges, g.n, 0, lambda = 1e-5, m = g.m, alpha = alpha)
     val pi = collectCol(out, g.n, "pi")
@@ -115,7 +115,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("refine enforces the per-node cap on an existing state") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 127)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val pushed = SparkPPR.powItr(spark, edges, g.n, 0, lambda = 1e-3, alpha = alpha)
     val rMax = 1e-5
     val refined = SparkPPR.refine(pushed, edges, 0, rMax, alpha)
@@ -125,7 +125,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("mass conservation in the dataflow version") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 128)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val out = SparkPPR.powItr(spark, edges, g.n, 0, lambda = 1e-4, alpha = alpha)
     val row = out.agg(sum(col("pi")), sum(col("r"))).head()
     assert(math.abs(row.getDouble(0) + row.getDouble(1) - 1.0) < 1e-9)
@@ -133,7 +133,7 @@ class SparkPPRSpec extends SparkSpec {
 
   test("dataflow PowItr equals local PowItr after full convergence") {
     val g = GraphGen.randomGraph(35, 3.0, seed = 129)
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val local = PowItr.run(g, 2, 1e-6, alpha)
     val out = SparkPPR.powItr(spark, edges, g.n, 2, lambda = 1e-6, alpha = alpha)
     val pi = collectCol(out, g.n, "pi")
@@ -141,7 +141,7 @@ class SparkPPRSpec extends SparkSpec {
   }
 
   test("oracle catches a wrong result") {
-    val edges = CSRGraph.toDataFrame(Fig1.graph, spark)
+    val edges = SparkGraph.toDataFrame(Fig1.graph, spark)
     val wrong = edges.agg((count(lit(1)) + 1).as("cnt")) // off by one
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
@@ -149,7 +149,7 @@ class SparkPPRSpec extends SparkSpec {
   }
 
   test("oracle rejects mismatched column names") {
-    val edges = CSRGraph.toDataFrame(Fig1.graph, spark)
+    val edges = SparkGraph.toDataFrame(Fig1.graph, spark)
     val got = edges.agg(count(lit(1)).as("n_rows"))
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(got, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
@@ -159,7 +159,7 @@ class SparkPPRSpec extends SparkSpec {
   test("invalid arguments throw IllegalArgumentException before any Spark job") {
     val g = Fig1.graph
     val n = g.n.toLong
-    val edges = CSRGraph.toDataFrame(g, spark)
+    val edges = SparkGraph.toDataFrame(g, spark)
     val state = SparkPPR.initState(spark, edges, n, 0)
     // Each entry takes (s, α, x), x being its λ, ε or r_max; 0.5 is valid for
     // all three. Then the invalid sources and x values of that entry.
@@ -200,7 +200,7 @@ class SparkPPRSpec extends SparkSpec {
     spark.catalog.clearCache()
     for (g <- Seq(CSRGraph.fromEdges(1, Nil), CSRGraph.fromEdges(3, Seq(1 -> 0, 1 -> 2)))) {
       val n = g.n.toLong
-      val edges = CSRGraph.toDataFrame(g, spark)
+      val edges = SparkGraph.toDataFrame(g, spark)
       val exact = ExactPPR.solve(g, 0, alpha)
       val rMax = PushKernel.rMaxFor(lambda, g.m)
       val entries: Seq[(String, () => DataFrame)] = Seq(

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Common
-import repro.graph.{CSRGraph, ExactPPR, GraphGen}
+import repro.graph.{ExactPPR, GraphGen}
 
 class SparkSpeedPPRSpec extends SparkSpec {
   private val alpha = 0.2
@@ -11,7 +11,7 @@ class SparkSpeedPPRSpec extends SparkSpec {
   test("distributed SpeedPPR sums to 1 and is close to exact") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 141)
     val exact = ExactPPR.solve(g, 0, alpha)
-    val out = SparkSpeedPPR.run(spark, CSRGraph.toDataFrame(g, spark), g.n, g.m, 0,
+    val out = SparkSpeedPPR.run(spark, SparkGraph.toDataFrame(g, spark), g.n, g.m, 0,
                                 eps = 0.5, alpha = alpha, seed = 3)
     val pi = new Array[Double](g.n)
     out.collect().foreach(r => pi(r.getLong(0).toInt) = r.getDouble(1))
@@ -22,7 +22,7 @@ class SparkSpeedPPRSpec extends SparkSpec {
   test("relative error criterion for high-PPR nodes at eps = 0.5") {
     val g = GraphGen.randomGraph(30, 4.0, seed = 142)
     val exact = ExactPPR.solve(g, 0, alpha)
-    val out = SparkSpeedPPR.run(spark, CSRGraph.toDataFrame(g, spark), g.n, g.m, 0,
+    val out = SparkSpeedPPR.run(spark, SparkGraph.toDataFrame(g, spark), g.n, g.m, 0,
                                 eps = 0.5, alpha = alpha, seed = 5)
     val pi = new Array[Double](g.n)
     out.collect().foreach(r => pi(r.getLong(0).toInt) = r.getDouble(1))
@@ -35,7 +35,7 @@ class SparkSpeedPPRSpec extends SparkSpec {
   test("handles dead ends") {
     val g = GraphGen.randomGraph(30, 3.0, seed = 143)
     assert(g.deadEnds.nonEmpty)
-    val out = SparkSpeedPPR.run(spark, CSRGraph.toDataFrame(g, spark), g.n, g.m, 0,
+    val out = SparkSpeedPPR.run(spark, SparkGraph.toDataFrame(g, spark), g.n, g.m, 0,
                                 eps = 0.5, alpha = alpha, seed = 7)
     val total = out.agg(sum(col("pi"))).head().getDouble(0)
     assert(math.abs(total - 1.0) < 1e-9)
