@@ -86,9 +86,10 @@ object Common {
   def walkCountW(n: Int, eps: Double, mu: Double): Double =
     2.0 * (2.0 * eps / 3.0 + 2.0) * math.log(n) / (eps * eps * mu)
 
-  /** The number of walks the solvers issue: ⌈W⌉, but at least 1, since
-    * W = 0 on a one-node graph (ln 1 = 0) would leave the residue unspent.
+  /** The number of walks the solvers issue: ⌈W⌉ at μ = 1/n, but at least 1,
+    * since W = 0 on a one-node graph (ln 1 = 0) would leave the residue
+    * unspent.
     */
-  def walkCount(n: Int, eps: Double, mu: Double): Long =
-    math.max(1L, math.ceil(walkCountW(n, eps, mu)).toLong)
+  def walkCount(n: Int, eps: Double): Long =
+    math.max(1L, math.ceil(walkCountW(n, eps, 1.0 / n)).toLong)
 }

@@ -26,7 +26,7 @@ object Fora {
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
                       seed: Long, index: WalkIndex): PPRResult = {
     Common.requireArgs(g.n, s, alpha, eps = eps)
-    val w = Common.walkCount(g.n, eps, 1.0 / g.n)
+    val w = Common.walkCount(g.n, eps)
     val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)
     WalkPhase.run(g, s, push, w, alpha, seed, index)
   }

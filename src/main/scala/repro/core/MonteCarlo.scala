@@ -32,7 +32,7 @@ object MonteCarlo {
     Common.requireArgs(g.n, s, alpha, eps = eps)
     val residue = new Array[Double](g.n)
     residue(s) = 1.0
-    val w = Common.walkCount(g.n, eps, 1.0 / g.n)
+    val w = Common.walkCount(g.n, eps)
     val init = PPRResult(new Array[Double](g.n), residue, new Stats)
     WalkPhase.run(g, s, init, w, alpha, seed, index = null)
   }

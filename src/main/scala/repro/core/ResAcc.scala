@@ -21,7 +21,7 @@ object ResAcc {
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): PPRResult = {
     Common.requireArgs(g.n, s, alpha, eps = eps)
     val n = g.n
-    val w = Common.walkCount(n, eps, 1.0 / n)
+    val w = Common.walkCount(n, eps)
     val push = FwdPush.run(g, s, 1.0 / math.sqrt(g.m.toDouble * w), alpha)
     val pi = push.pi
     val r = push.residue

@@ -7,8 +7,8 @@ import repro.graph.CSRGraph
   * residue is active) and all pushes of an iteration are applied to the
   * *previous* iteration's residues.
   *
-  * Exposes a step function so tests can check the per-iteration equivalence
-  * of (residue, reserve) with PowItr's (γ, π̂) exactly.
+  * `step` is the one synchronous push step: `PowItr` runs it too, charging
+  * m edge pushes per sweep instead of the active degrees.
   */
 object SimFwdPush {
 

@@ -25,7 +25,7 @@ object SpeedPPR {
   private def runImpl(g: CSRGraph, s: Int, eps: Double, alpha: Double,
                       seed: Long, index: WalkIndex): PPRResult = {
     Common.requireArgs(g.n, s, alpha, eps = eps)
-    val w = Common.walkCount(g.n, eps, 1.0 / g.n)
+    val w = Common.walkCount(g.n, eps)
     // PowerPush with the built-in refinement enforcing r(s,v) ≤ d_v / W, so
     // with the index only dead ends need live top-up walks.
     val push = PowerPush.run(g, s, math.max(g.m, 1).toDouble / w, alpha, refineRMax = 1.0 / w)

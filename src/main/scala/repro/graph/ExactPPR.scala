@@ -1,5 +1,7 @@
 package repro.graph
 
+import repro.core.Common
+
 /** Exact SSPPR via dense Gaussian elimination — test-only ground truth.
   *
   * Solves Equation (1) of the paper, π_s = α·e_s + (1−α)·π_s·P, i.e. the
@@ -13,7 +15,7 @@ package repro.graph
 object ExactPPR {
 
   /** Exact PPR vector π_s, with ‖π_s‖₁ = 1 (up to float error). */
-  def solve(g: CSRGraph, s: Int, alpha: Double = 0.2): Array[Double] = {
+  def solve(g: CSRGraph, s: Int, alpha: Double = Common.DefaultAlpha): Array[Double] = {
     val n = g.n
     require(n <= 2000, s"ExactPPR is dense O(n^3); n=$n too large")
     require(s >= 0 && s < n)

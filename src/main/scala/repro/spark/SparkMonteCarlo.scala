@@ -67,9 +67,9 @@ object SparkMonteCarlo {
     * e_s, i.e. W walks of weight 1/W from s, with W from Eq. (12).
     */
   def run(spark: SparkSession, edges: DataFrame, n: Long, s: Long, eps: Double,
-          alpha: Double = 0.2, seed: Long = 1L): DataFrame = {
+          alpha: Double = Common.DefaultAlpha, seed: Long = 1L): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, eps = eps)
     walkPhase(spark, edges, n, s, SparkPPR.initState(spark, edges, n, s),
-      Common.walkCount(n.toInt, eps, 1.0 / n), alpha, seed)
+      Common.walkCount(n.toInt, eps), alpha, seed)
   }
 }

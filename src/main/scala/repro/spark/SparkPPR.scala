@@ -83,7 +83,7 @@ object SparkPPR {
 
   /** Distributed PowItr: full pushes (r_max = 0) until Σr ≤ λ. */
   def powItr(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-             lambda: Double, alpha: Double = 0.2): DataFrame = {
+             lambda: Double, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
       if (rsum <= lambda) None else Some(0.0)
@@ -92,7 +92,7 @@ object SparkPPR {
 
   /** Distributed frontier FwdPush: [[refine]] from e_s at r_max = λ/m. */
   def fwdPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-              rMax: Double, alpha: Double = 0.2): DataFrame = {
+              rMax: Double, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, rMax = rMax)
     refine(initState(spark, edges, n, s), edges, s, rMax, alpha)
   }
@@ -103,7 +103,7 @@ object SparkPPR {
     * r'_max = λ^(i/[[EpochNum]])/m, finishing at λ/m.
     */
   def powerPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-                lambda: Double, m: Long, alpha: Double = 0.2): DataFrame = {
+                lambda: Double, m: Long, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     var epoch = 1
     loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
@@ -121,7 +121,7 @@ object SparkPPR {
     * enforce r(s,v) ≤ d_v·r_max with r_max = 1/W before the walk phase.
     */
   def refine(stateIn: DataFrame, edges: DataFrame, s: Long, rMax: Double,
-             alpha: Double = 0.2): DataFrame = {
+             alpha: Double = Common.DefaultAlpha): DataFrame = {
     // No n here: the placeholder n = 1, s = 0 leaves only α and r_max checked.
     Common.requireArgs(1, 0, alpha, rMax = rMax)
     loop(stateIn, edges, s, alpha, rMax0 = rMax) { (nActive, _) =>

@@ -12,9 +12,9 @@ object SparkSpeedPPR {
 
   /** @return DataFrame(id, pi) — the Approx-SSPPR estimate. */
   def run(spark: SparkSession, edges: DataFrame, n: Long, m: Long, s: Long,
-          eps: Double, alpha: Double = 0.2, seed: Long = 1L): DataFrame = {
+          eps: Double, alpha: Double = Common.DefaultAlpha, seed: Long = 1L): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, eps = eps)
-    val w = Common.walkCount(n.toInt, eps, 1.0 / n)
+    val w = Common.walkCount(n.toInt, eps)
     val pushed = SparkPPR.powerPush(spark, edges, n, s, math.max(m, 1L).toDouble / w, m, alpha)
     val refined = SparkPPR.refine(pushed, edges, s, rMax = 1.0 / w, alpha = alpha)
     SparkMonteCarlo.walkPhase(spark, edges, n, s, refined, w, alpha, seed)

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
 import repro.core.{Common, PowItr, PushKernel}
 import repro.spark.SparkJobs.jobsStarted
@@ -41,46 +41,6 @@ class SparkPPRSpec extends SparkSpec {
     assert(Common.l1Diff(rSpark, rLocal) < 1e-12)
     val piSpark = collectCol(next, g.n, "pi")
     assert(Common.l1Diff(piSpark, piLocal) < 1e-12)
-  }
-
-  test("pushStep residue vs DuckDB SQL oracle") {
-    // One dataflow power-iteration step expressed relationally: the residue
-    // received by u is sum over in-edges (v,u) of (1-alpha)*r(v)/deg(v).
-    val g = GraphGen.randomGraph(30, 3.0, seed = 122, allowDeadEnds = false)
-    val edges = SparkGraph.toDataFrame(g, spark)
-    val st = SparkPPR.initState(spark, edges, g.n, 0)
-    // seed a non-trivial residue state: two supersteps from the start
-    val st2 = SparkPPR.pushStep(SparkPPR.pushStep(st, edges, 0, alpha, 0.0), edges, 0, alpha, 0.0)
-    val stateTbl = st2.select(col("id"), col("deg").cast("double").as("deg"), col("r"))
-    val got = SparkPPR.pushStep(st2, edges, 0, alpha, 0.0)
-      .select(col("id"), round(col("r") * 1000, 6).as("r1000"))
-    Oracle.assertEquivalent(
-      got,
-      """SELECT s.id AS id,
-        |       round(coalesce(m.msg, 0) * 1000, 6) AS r1000
-        |FROM state s
-        |LEFT JOIN (
-        |  SELECT CAST(e.dst AS BIGINT) AS id,
-        |         sum(0.8 * CAST(st.r AS DOUBLE) / CAST(st.deg AS DOUBLE)) AS msg
-        |  FROM edges e JOIN state st ON CAST(e.src AS BIGINT) = CAST(st.id AS BIGINT)
-        |  WHERE CAST(st.r AS DOUBLE) > 0
-        |  GROUP BY e.dst
-        |) m ON CAST(s.id AS BIGINT) = m.id
-        |""".stripMargin,
-      "state" -> stateTbl,
-      "edges" -> edges,
-    )
-  }
-
-  test("out-degree computation vs DuckDB SQL oracle") {
-    val g = GraphGen.randomGraph(50, 4.0, seed = 123)
-    val edges = SparkGraph.toDataFrame(g, spark)
-    val got = edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
-    Oracle.assertEquivalent(
-      got,
-      "SELECT CAST(src AS BIGINT) AS id, count(*) AS deg FROM edges GROUP BY src",
-      "edges" -> edges,
-    )
   }
 
   test("distributed PowItr matches the local exact solution") {
@@ -138,22 +98,6 @@ class SparkPPRSpec extends SparkSpec {
     val out = SparkPPR.powItr(spark, edges, g.n, 2, lambda = 1e-6, alpha = alpha)
     val pi = collectCol(out, g.n, "pi")
     assert(Common.l1Diff(pi, local.pi) < 1e-12)
-  }
-
-  test("oracle catches a wrong result") {
-    val edges = SparkGraph.toDataFrame(Fig1.graph, spark)
-    val wrong = edges.agg((count(lit(1)) + 1).as("cnt")) // off by one
-    intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
-    }
-  }
-
-  test("oracle rejects mismatched column names") {
-    val edges = SparkGraph.toDataFrame(Fig1.graph, spark)
-    val got = edges.agg(count(lit(1)).as("n_rows"))
-    intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(got, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
-    }
   }
 
   test("invalid arguments throw IllegalArgumentException before any Spark job") {
