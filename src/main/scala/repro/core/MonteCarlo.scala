@@ -8,18 +8,52 @@ import repro.graph.CSRGraph
   */
 object MonteCarlo {
 
+  /** The α-coin as a threshold on 32 bits: a step whose draw `x` has
+    * `stops(x, stopThreshold(α))` ends the walk. The threshold is ⌈α·2^32⌉,
+    * so P(stop) ∈ [α, α + 2^-32), and every α > 0 stops with positive
+    * probability.
+    */
+  def stopThreshold(alpha: Double): Long = math.ceil(alpha * 4294967296.0).toLong
+
+  /** Whether the step with 64-bit draw `x` stops: its high 32 bits fall below
+    * `threshold`. The low 32 bits are left for [[pick]].
+    */
+  @inline def stops(x: Long, threshold: Long): Boolean = (x >>> 32) < threshold
+
+  /** An exactly uniform pick in [0, d), d ≥ 1, from the low 32 bits of the
+    * step's draw `x`, by Lemire's multiply-shift ("Fast Random Integer
+    * Generation in an Interval", ACM TOMACS 2019). With x its low 32 bits,
+    * the pick is the high half of x·d. A draw whose low half of x·d falls
+    * below 2^32 mod d is rejected, which leaves exactly ⌊2^32/d⌋ values of x
+    * per pick, and is replaced by 32 fresh bits from `rng`. Since
+    * 2^32 mod d < d, the division runs only when the low half is below d,
+    * with probability d/2^32.
+    */
+  @inline def pick(x: Long, d: Int, rng: SplittableRandom): Int = {
+    var m = (x & 0xFFFFFFFFL) * d
+    if ((m & 0xFFFFFFFFL) < d) {
+      val reject = 0x100000000L % d
+      while ((m & 0xFFFFFFFFL) < reject) m = (rng.nextInt() & 0xFFFFFFFFL) * d
+    }
+    (m >>> 32).toInt
+  }
+
   /** Walk one α-random walk and return the node it stops at.
     *
     * Semantics per §2: at the current node, stop with probability α; else
     * move uniformly to an out-neighbor, or jump back to the *query source* s
-    * at a dead end. `start` may differ from `s`. [[WalkPhase]] advances its
-    * walks with the same rule, several at a time.
+    * at a dead end. `start` may differ from `s`. Each step takes one
+    * `rng.nextLong()`, read by [[stops]] and [[pick]]; [[WalkPhase]] and
+    * [[WalkIndex]] step their walks with the same two.
     */
   def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: SplittableRandom): Int = {
+    val threshold = stopThreshold(alpha)
     var v = start
-    while (rng.nextDouble() >= alpha) {
+    var x = rng.nextLong()
+    while (!stops(x, threshold)) {
       val d = g.outDegree(v)
-      v = if (d == 0) s else g.edges(g.offset(v) + rng.nextInt(d))
+      v = if (d == 0) s else g.edges(g.offset(v) + pick(x, d, rng))
+      x = rng.nextLong()
     }
     v
   }

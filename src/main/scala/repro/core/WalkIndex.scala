@@ -28,15 +28,18 @@ final class WalkIndex(val offsets: Array[Long], val endpoints: Array[Int]) {
 object WalkIndex {
 
   /** Walk from `start` recording either the stop node or `~deadEnd` if the
-    * walk leaves a dead end (source-dependent continuation deferred).
+    * walk leaves a dead end (source-dependent continuation deferred). Each
+    * step is [[MonteCarlo.walk]]'s, with the coin's `threshold` from
+    * [[MonteCarlo.stopThreshold]].
     */
-  private def indexWalk(g: CSRGraph, start: Int, alpha: Double, rng: SplittableRandom): Int = {
+  private def indexWalk(g: CSRGraph, start: Int, threshold: Long, rng: SplittableRandom): Int = {
     var v = start
     while (true) {
-      if (rng.nextDouble() < alpha) return v
+      val x = rng.nextLong()
+      if (MonteCarlo.stops(x, threshold)) return v
       val d = g.outDegree(v)
       if (d == 0) return ~v
-      v = g.edges(g.offset(v) + rng.nextInt(d))
+      v = g.edges(g.offset(v) + MonteCarlo.pick(x, d, rng))
     }
     throw new IllegalStateException("unreachable")
   }
@@ -80,13 +83,14 @@ object WalkIndex {
     val blocks = firstNode.length - 1
     val streams = new SplittableRandom(seed)
     val rngs = Array.tabulate(blocks)(b => if (b == 0) new SplittableRandom(seed) else streams.split())
+    val threshold = MonteCarlo.stopThreshold(alpha)
     IntStream.range(0, blocks).parallel().forEach { b =>
       val rng = rngs(b)
       var u = firstNode(b)
       while (u < firstNode(b + 1)) {
         var k = offsets(u).toInt
         val end = offsets(u + 1).toInt
-        while (k < end) { endpoints(k) = indexWalk(g, u, alpha, rng); k += 1 }
+        while (k < end) { endpoints(k) = indexWalk(g, u, threshold, rng); k += 1 }
         u += 1
       }
     }

@@ -20,13 +20,16 @@ object WalkPhase {
     * `pushOps`. Walks are issued in node-id order, all drawing from one
     * `SplittableRandom(seed)`; up to [[Lanes]] live walks advance one step
     * per round, and a lane whose walk stops takes the next pending walk.
+    * Each step is [[MonteCarlo.walk]]'s: one `nextLong()` read by
+    * [[MonteCarlo.stops]] and [[MonteCarlo.pick]].
     *
     * @param index stored walks, or null for none: v's first `countOf(v)`
     *              walks are read from it where they are issued, the rest are
     *              walked live. A stored dead-end marker is a walk that left
     *              a dead end without stopping: it takes a lane at s and flips
     *              its next coin there, as a live walk would
-    * @return the estimate with an all-zero residue vector
+    * @return `push` itself: its estimate `pi` and its residue vector are
+    *         updated in place, r(v) zeroed as v's walks are issued
     */
   def run(g: CSRGraph, s: Int, push: PPRResult, w: Long, alpha: Double,
           seed: Long, index: WalkIndex): PPRResult = {
@@ -36,6 +39,7 @@ object WalkPhase {
     val offset = g.offset
     val edges = g.edges
     val rng = new SplittableRandom(seed)
+    val threshold = MonteCarlo.stopThreshold(alpha)
     // Lane i holds a walk at node at(i) carrying weight(i); lanes 0 until
     // live are in flight.
     val at = new Array[Int](Lanes)
@@ -66,6 +70,7 @@ object WalkPhase {
             stored = if (index == null) 0L else index.countOf(cur)
             k = 0L
             stats.pushOps += wv
+            r(next) = 0.0
           }
           next += 1
         } else pending = false
@@ -73,7 +78,8 @@ object WalkPhase {
       var i = 0
       while (i < live) {
         val u = at(i)
-        if (rng.nextDouble() < alpha) {
+        val x = rng.nextLong()
+        if (MonteCarlo.stops(x, threshold)) {
           pi(u) += weight(i)
           live -= 1
           at(i) = at(live)
@@ -81,11 +87,11 @@ object WalkPhase {
         } else {
           val o = offset(u)
           val d = offset(u + 1) - o
-          at(i) = if (d == 0) s else edges(o + rng.nextInt(d))
+          at(i) = if (d == 0) s else edges(o + MonteCarlo.pick(x, d, rng))
           i += 1
         }
       }
     }
-    PPRResult(pi, new Array[Double](g.n), stats)
+    push
   }
 }

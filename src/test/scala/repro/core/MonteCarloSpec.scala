@@ -42,6 +42,42 @@ class MonteCarloSpec extends AnyFunSuite {
     assert(math.abs(avg - (1 - alpha) / alpha) < 0.1, s"avg moves $avg")
   }
 
+  test("the neighbour pick is exactly uniform where a bare multiply-shift is not") {
+    // For 32-bit x, ⌊x·d / 2^32⌋ at d = 3·2^29 is ⌊3x/8⌋, whose residues
+    // mod 3 come up 1/4, 3/8 and 3/8 of the time without the rejection step.
+    val d = 3 << 29
+    val rng = new SplittableRandom(21)
+    val draws = 200000
+    val counts = new Array[Int](3)
+    (0 until draws).foreach { _ =>
+      val p = MonteCarlo.pick(rng.nextLong(), d, rng)
+      assert(p >= 0 && p < d)
+      counts(p % 3) += 1
+    }
+    counts.foreach(c => assert(math.abs(c.toDouble / draws - 1.0 / 3) < 0.01, counts.mkString(", ")))
+  }
+
+  test("the neighbour pick stays in range at d = 1 and d = Int.MaxValue") {
+    val rng = new SplittableRandom(22)
+    Seq(0L, -1L).foreach(x => assert(MonteCarlo.pick(x, 1, rng) == 0))
+    assert(MonteCarlo.pick(-1L, Int.MaxValue, rng) == Int.MaxValue - 1)
+    (0 until 100000).foreach { _ =>
+      assert(MonteCarlo.pick(rng.nextLong(), 1, rng) == 0)
+      val p = MonteCarlo.pick(rng.nextLong(), Int.MaxValue, rng)
+      assert(p >= 0 && p < Int.MaxValue)
+    }
+  }
+
+  test("the stop threshold is ⌈α·2^32⌉, so P(stop) ∈ [α, α + 2^-32)") {
+    assert(MonteCarlo.stopThreshold(0.2) == 858993460L)
+    assert(MonteCarlo.stopThreshold(Double.MinPositiveValue) >= 1L)
+    val two32 = 4294967296.0
+    Seq(1e-12, 0.15, 0.2, 0.5, 0.85, 1.0 - 1e-12).foreach { a =>
+      val t = MonteCarlo.stopThreshold(a)
+      assert(t / two32 >= a && t / two32 < a + 1.0 / two32, s"alpha = $a")
+    }
+  }
+
   test("deterministic given the seed") {
     val g = GraphGen.randomGraph(50, 3.0, seed = 1)
     val a = MonteCarlo.run(g, 0, 0.5, alpha, seed = 9).pi
