@@ -187,7 +187,7 @@ object BePILite {
       v += 1
     }
     // x2 = S⁻¹ rhs2 (dense, h ≤ a few hundred)
-    val x2 = denseSolve(index.schur.map(_.clone()), rhs2.clone())
+    val x2 = Common.gaussianSolve(index.schur.map(_.clone()), rhs2)
     // x1 = A11⁻¹ (b1 − A12·x2)
     val w1 = b1.clone()
     var i = 0
@@ -210,43 +210,5 @@ object BePILite {
     v = 0
     while (v < n) { x(v) /= sum; v += 1 }
     PPRResult(x, new Array[Double](n), stats)
-  }
-
-  /** Gaussian elimination with partial pivoting on a dense system. */
-  private def denseSolve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
-    val n = b.length
-    var col = 0
-    while (col < n) {
-      var piv = col
-      var best = math.abs(a(col)(col))
-      var r = col + 1
-      while (r < n) { val w = math.abs(a(r)(col)); if (w > best) { best = w; piv = r }; r += 1 }
-      require(best > 1e-14, s"singular Schur complement at column $col")
-      if (piv != col) {
-        val tr = a(piv); a(piv) = a(col); a(col) = tr
-        val tb = b(piv); b(piv) = b(col); b(col) = tb
-      }
-      r = col + 1
-      while (r < n) {
-        val f = a(r)(col) / a(col)(col)
-        if (f != 0.0) {
-          var c = col
-          while (c < n) { a(r)(c) -= f * a(col)(c); c += 1 }
-          b(r) -= f * b(col)
-        }
-        r += 1
-      }
-      col += 1
-    }
-    val x = new Array[Double](n)
-    var row = n - 1
-    while (row >= 0) {
-      var sum = b(row)
-      var c = row + 1
-      while (c < n) { sum -= a(row)(c) * x(c); c += 1 }
-      x(row) = sum / a(row)(row)
-      row -= 1
-    }
-    x
   }
 }

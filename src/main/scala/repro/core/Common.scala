@@ -82,6 +82,52 @@ object Common {
     t
   }
 
+  /** Gaussian elimination with partial pivoting, in place on `a` and `b`;
+    * returns x with Ax = b. The one dense solver: `ExactPPR`'s ground truth
+    * and BePI-lite's Schur-complement solve.
+    */
+  def gaussianSolve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
+    val n = b.length
+    var col = 0
+    while (col < n) {
+      var piv = col
+      var best = math.abs(a(col)(col))
+      var r = col + 1
+      while (r < n) {
+        val v = math.abs(a(r)(col))
+        if (v > best) { best = v; piv = r }
+        r += 1
+      }
+      require(best > 1e-14, s"singular system at column $col")
+      if (piv != col) {
+        val tmpRow = a(piv); a(piv) = a(col); a(col) = tmpRow
+        val tmpB = b(piv); b(piv) = b(col); b(col) = tmpB
+      }
+      r = col + 1
+      while (r < n) {
+        val factor = a(r)(col) / a(col)(col)
+        if (factor != 0.0) {
+          var c = col
+          while (c < n) { a(r)(c) -= factor * a(col)(c); c += 1 }
+          b(r) -= factor * b(col)
+        }
+        r += 1
+      }
+      col += 1
+    }
+    // Back substitution.
+    val x = new Array[Double](n)
+    var row = n - 1
+    while (row >= 0) {
+      var sum = b(row)
+      var c = row + 1
+      while (c < n) { sum -= a(row)(c) * x(c); c += 1 }
+      x(row) = sum / a(row)(row)
+      row -= 1
+    }
+    x
+  }
+
   /** Chernoff walk count W from Eq. (12), with μ = 1/n by convention. */
   def walkCountW(n: Int, eps: Double, mu: Double): Double =
     2.0 * (2.0 * eps / 3.0 + 2.0) * math.log(n) / (eps * eps * mu)

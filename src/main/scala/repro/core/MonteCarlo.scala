@@ -38,23 +38,35 @@ object MonteCarlo {
     (m >>> 32).toInt
   }
 
+  /** One segment of an α-random walk from `start`, with `threshold` =
+    * [[stopThreshold]](α): returns the node the walk stops at, or the marker
+    * `~v` if it leaves a dead end v without stopping, since where it goes on
+    * depends on the query source. Each step takes one `rng.nextLong()`, read
+    * by [[stops]] and [[pick]]; [[WalkPhase]] steps its walks with the same
+    * two, and [[WalkIndex]] stores these results.
+    */
+  def walkSegment(g: CSRGraph, start: Int, threshold: Long, rng: SplittableRandom): Int = {
+    var v = start
+    while (true) {
+      val x = rng.nextLong()
+      if (stops(x, threshold)) return v
+      val d = g.outDegree(v)
+      if (d == 0) return ~v
+      v = g.edges(g.offset(v) + pick(x, d, rng))
+    }
+    throw new IllegalStateException("unreachable")
+  }
+
   /** Walk one α-random walk and return the node it stops at.
     *
     * Semantics per §2: at the current node, stop with probability α; else
     * move uniformly to an out-neighbor, or jump back to the *query source* s
-    * at a dead end. `start` may differ from `s`. Each step takes one
-    * `rng.nextLong()`, read by [[stops]] and [[pick]]; [[WalkPhase]] and
-    * [[WalkIndex]] step their walks with the same two.
+    * at a dead end. `start` may differ from `s`.
     */
   def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: SplittableRandom): Int = {
     val threshold = stopThreshold(alpha)
-    var v = start
-    var x = rng.nextLong()
-    while (!stops(x, threshold)) {
-      val d = g.outDegree(v)
-      v = if (d == 0) s else g.edges(g.offset(v) + pick(x, d, rng))
-      x = rng.nextLong()
-    }
+    var v = walkSegment(g, start, threshold, rng)
+    while (v < 0) v = walkSegment(g, s, threshold, rng)
     v
   }
 

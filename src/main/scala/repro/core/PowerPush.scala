@@ -7,13 +7,13 @@ import repro.graph.CSRGraph
   *
   *  - **Queue phase** (local): FIFO pushes with r_max = λ/m while the active
   *    set is small — Algorithm 2's loop, [[PushKernel.drain]], stopped early.
-  *  - **Scan phase** (global): once the queue holds more than `scanThreshold`
-  *    (= n/4) nodes, switch to sequential sweeps over the id-sorted node
+  *  - **Scan phase** (global): once the queue holds more than max(1, n/4)
+  *    nodes, switch to sequential sweeps over the id-sorted node
   *    list / concatenated CSR edge array (cache-friendly), still pushing
   *    *asynchronously* in place.
-  *  - **Dynamic ℓ1 threshold**: the scan phase runs in `epochNum` (= 8)
-  *    epochs; epoch i uses r'_max = λ^(i/epochNum)/m, so early pushes are the
-  *    high unit-cost-benefit ones and nodes accumulate residue before
+  *  - **Dynamic ℓ1 threshold**: the scan phase runs in [[EpochNum]] (= 8)
+  *    epochs; epoch i uses r'_max = [[epochLambda]](λ, i)/m, so early pushes
+  *    are the high unit-cost-benefit ones and nodes accumulate residue before
   *    pushing (§5).
   *
   * The returned residues satisfy Σr ≤ λ; pass `refineRMax` to additionally
@@ -22,10 +22,16 @@ import repro.graph.CSRGraph
   */
 object PowerPush {
 
+  /** Epochs of the scan phase's dynamic threshold (§5). */
+  final val EpochNum = 8
+
+  /** Epoch i's ℓ1 target λ^(i/[[EpochNum]]): from λ^(1/8) at i = 1 down to
+    * λ at i = [[EpochNum]].
+    */
+  def epochLambda(lambda: Double, i: Int): Double = math.pow(lambda, i.toDouble / EpochNum)
+
   def run(g: CSRGraph, s: Int, lambda: Double,
           alpha: Double = Common.DefaultAlpha,
-          epochNum: Int = 8,
-          scanThresholdFrac: Double = 0.25,
           refineRMax: Double = Double.NaN,
           trace: Trace = null, traceEvery: Long = 0L): PPRResult = {
     Common.requireArgs(g.n, s, alpha, lambda = lambda)
@@ -35,7 +41,6 @@ object PowerPush {
     val r = new Array[Double](n)
     r(s) = 1.0
     val stats = new Stats
-    val scanThreshold = math.max(1, (n * scanThresholdFrac).toInt)
     if (trace != null) trace.record(0L, 1.0)
 
     // ---- Queue phase (Algorithm 3, lines 7-13) ----
@@ -43,16 +48,15 @@ object PowerPush {
     val q = new PushKernel.IntQueue(n)
     q.append(s); inQueue(s) = true
     var rsum = PushKernel.drain(g, s, pi, r, q, inQueue, PushKernel.rMaxFor(lambda, m), alpha, stats,
-      cap = scanThreshold, stopSum = lambda, trace = trace, traceEvery = traceEvery)
+      cap = math.max(1, n / 4), stopSum = lambda, trace = trace, traceEvery = traceEvery)
 
     // ---- Scan phase with dynamic threshold (lines 14-24) ----
     if (rsum > lambda) {
       var i = 1
-      while (i <= epochNum) {
-        // λ^(i/epochNum) decreases from λ^(1/8) down to λ as i → epochNum.
-        val epochLambda = math.pow(lambda, i.toDouble / epochNum)
-        val rMaxEpoch = PushKernel.rMaxFor(epochLambda, m)
-        while (rsum > epochLambda) {
+      while (i <= EpochNum) {
+        val lambdaEpoch = epochLambda(lambda, i)
+        val rMaxEpoch = PushKernel.rMaxFor(lambdaEpoch, m)
+        while (rsum > lambdaEpoch) {
           sweep(g, s, pi, r, rMaxEpoch, alpha, stats)
           stats.iterations += 1
           rsum = Common.sum(r)

@@ -7,8 +7,8 @@ import repro.graph.CSRGraph
   * residue is active) and all pushes of an iteration are applied to the
   * *previous* iteration's residues.
   *
-  * `step` is the one synchronous push step: `PowItr` runs it too, charging
-  * m edge pushes per sweep instead of the active degrees.
+  * `step` is the one synchronous push step. `PowItr.run` is the loop over
+  * it, charging m edge pushes per sweep instead of the active degrees.
   */
 object SimFwdPush {
 
@@ -37,22 +37,5 @@ object SimFwdPush {
     }
     stats.iterations += 1
     next
-  }
-
-  def run(g: CSRGraph, s: Int, lambda: Double,
-          alpha: Double = Common.DefaultAlpha, trace: Trace = null): PPRResult = {
-    Common.requireArgs(g.n, s, alpha, lambda = lambda)
-    val pi = new Array[Double](g.n)
-    var r = new Array[Double](g.n)
-    r(s) = 1.0
-    var rsum = 1.0
-    val stats = new Stats
-    if (trace != null) trace.record(0L, rsum)
-    while (rsum > lambda) {
-      r = step(g, s, r, pi, alpha, stats)
-      rsum = Common.sum(r)
-      if (trace != null) trace.record(stats.edgePushes, rsum)
-    }
-    PPRResult(pi, r, stats)
   }
 }

@@ -27,23 +27,6 @@ final class WalkIndex(val offsets: Array[Long], val endpoints: Array[Int]) {
 
 object WalkIndex {
 
-  /** Walk from `start` recording either the stop node or `~deadEnd` if the
-    * walk leaves a dead end (source-dependent continuation deferred). Each
-    * step is [[MonteCarlo.walk]]'s, with the coin's `threshold` from
-    * [[MonteCarlo.stopThreshold]].
-    */
-  private def indexWalk(g: CSRGraph, start: Int, threshold: Long, rng: SplittableRandom): Int = {
-    var v = start
-    while (true) {
-      val x = rng.nextLong()
-      if (MonteCarlo.stops(x, threshold)) return v
-      val d = g.outDegree(v)
-      if (d == 0) return ~v
-      v = g.edges(g.offset(v) + MonteCarlo.pick(x, d, rng))
-    }
-    throw new IllegalStateException("unreachable")
-  }
-
   /** Walks per block of the build: a block is a run of whole nodes that
     * ends once it holds this many walks (the last block may hold fewer).
     */
@@ -90,7 +73,7 @@ object WalkIndex {
       while (u < firstNode(b + 1)) {
         var k = offsets(u).toInt
         val end = offsets(u + 1).toInt
-        while (k < end) { endpoints(k) = indexWalk(g, u, threshold, rng); k += 1 }
+        while (k < end) { endpoints(k) = MonteCarlo.walkSegment(g, u, threshold, rng); k += 1 }
         u += 1
       }
     }

@@ -35,49 +35,6 @@ object ExactPPR {
     }
     val b = new Array[Double](n)
     b(s) = alpha
-    gaussianSolve(a, b)
-  }
-
-  /** In-place Gaussian elimination with partial pivoting; returns x: Ax = b. */
-  private def gaussianSolve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
-    val n = b.length
-    var col = 0
-    while (col < n) {
-      var piv = col
-      var best = math.abs(a(col)(col))
-      var r = col + 1
-      while (r < n) {
-        val v = math.abs(a(r)(col))
-        if (v > best) { best = v; piv = r }
-        r += 1
-      }
-      require(best > 1e-14, s"singular system at column $col")
-      if (piv != col) {
-        val tmpRow = a(piv); a(piv) = a(col); a(col) = tmpRow
-        val tmpB = b(piv); b(piv) = b(col); b(col) = tmpB
-      }
-      r = col + 1
-      while (r < n) {
-        val factor = a(r)(col) / a(col)(col)
-        if (factor != 0.0) {
-          var c = col
-          while (c < n) { a(r)(c) -= factor * a(col)(c); c += 1 }
-          b(r) -= factor * b(col)
-        }
-        r += 1
-      }
-      col += 1
-    }
-    // Back substitution.
-    val x = new Array[Double](n)
-    var row = n - 1
-    while (row >= 0) {
-      var sum = b(row)
-      var c = row + 1
-      while (c < n) { sum -= a(row)(c) * x(c); c += 1 }
-      x(row) = sum / a(row)(row)
-      row -= 1
-    }
-    x
+    Common.gaussianSolve(a, b)
   }
 }

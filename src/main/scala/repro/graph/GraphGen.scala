@@ -49,31 +49,35 @@ object GraphGen {
     (datasets ++ tinyDatasets).find(_.name == name)
       .getOrElse(throw new NoSuchElementException(s"unknown dataset $name"))
 
+  /** Power-law exponent β of the stand-ins, for both degree and target skew. */
+  private final val Beta = 0.55
+
+  /** Fraction of a directed stand-in's nodes forced to out-degree 0. */
+  private final val DeadEndFrac = 0.01
+
   /** Power-law target draw: returns an id in [0, n) with
-    * P(id = k) ∝ (k+1)^(−β), via the continuous inverse CDF. β ∈ (0,1).
+    * P(id = k) ∝ (k+1)^(−β), via the continuous inverse CDF, β = [[Beta]].
     */
-  @inline private def powerLawDraw(rng: Random, n: Int, β: Double): Int = {
+  @inline private def powerLawDraw(rng: Random, n: Int): Int = {
     val u = rng.nextDouble()
-    val x = math.pow(u, 1.0 / (1.0 - β)) * n
+    val x = math.pow(u, 1.0 / (1.0 - Beta)) * n
     math.min(n - 1, x.toInt)
   }
 
-  /** Directed scale-free graph.
+  /** Directed scale-free graph; the top [[DeadEndFrac]] of ids (at least
+    * one) are dead ends.
     *
-    * @param n           node count
-    * @param avgDeg      target average out-degree (m ≈ n·avgDeg)
-    * @param beta        power-law exponent for both degree and target skew
-    * @param deadEndFrac fraction of nodes forced to out-degree 0
+    * @param n      node count
+    * @param avgDeg target average out-degree (m ≈ n·avgDeg)
     */
-  def scaleFree(n: Int, avgDeg: Double, beta: Double = 0.55,
-                deadEndFrac: Double = 0.01, seed: Long = 42L): CSRGraph = {
+  def scaleFree(n: Int, avgDeg: Double, seed: Long = 42L): CSRGraph = {
     require(n >= 2 && avgDeg >= 1.0)
     val rng = new Random(seed)
     // Node weights w_k ∝ (k+1)^(−β); out-degree of k is avgDeg·w_k/mean(w),
     // capped so a single node cannot own more than ~n/2 out-edges.
-    val w = Array.tabulate(n)(k => math.pow(k + 1.0, -beta))
+    val w = Array.tabulate(n)(k => math.pow(k + 1.0, -Beta))
     val meanW = w.sum / n
-    val nDead = math.max(1, (n * deadEndFrac).toInt)
+    val nDead = math.max(1, (n * DeadEndFrac).toInt)
     val targetDeg = Array.tabulate(n) { k =>
       if (k >= n - nDead) 0 // highest ids become dead ends
       else math.max(1, math.min(n / 2, math.round(avgDeg * w(k) / meanW).toInt))
@@ -86,7 +90,7 @@ object GraphGen {
       var drawn = 0
       var tries = 0
       while (drawn < d && tries < d * 20) {
-        val t = powerLawDraw(rng, n, beta)
+        val t = powerLawDraw(rng, n)
         if (t != v && mark(t) != v) { mark(t) = v; buf.add(v, t); drawn += 1 }
         tries += 1
       }
@@ -99,11 +103,10 @@ object GraphGen {
     * like the paper does for DBLP and Orkut ("replace each un-directed edge
     * with two directed edges"). `avgDeg` counts undirected edges per node.
     */
-  def scaleFreeUndirected(n: Int, avgDeg: Double, beta: Double = 0.55,
-                          seed: Long = 42L): CSRGraph = {
+  def scaleFreeUndirected(n: Int, avgDeg: Double, seed: Long = 42L): CSRGraph = {
     require(n >= 2 && avgDeg >= 0.5)
     val rng = new Random(seed)
-    val w = Array.tabulate(n)(k => math.pow(k + 1.0, -beta))
+    val w = Array.tabulate(n)(k => math.pow(k + 1.0, -Beta))
     val meanW = w.sum / n
     val deg = Array.tabulate(n)(v =>
       math.max(1, math.min(n / 2, math.round(avgDeg * w(v) / meanW).toInt)))
@@ -115,7 +118,7 @@ object GraphGen {
       var added = 0
       var tries = 0
       while (added < d && tries < d * 20) {
-        val t = powerLawDraw(rng, n, beta)
+        val t = powerLawDraw(rng, n)
         val key = math.min(v, t).toLong * n + math.max(v, t)
         if (t != v && pairs.add(key)) {
           buf.add(v, t); buf.add(t, v)

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Common, PushKernel}
+import repro.core.{Common, PowerPush, PushKernel}
 
 /** Distributed SSPPR as Catalyst dataflow.
   *
@@ -97,20 +97,18 @@ object SparkPPR {
     refine(initState(spark, edges, n, s), edges, s, rMax, alpha)
   }
 
-  private val EpochNum = 8 // as core PowerPush
-
-  /** Distributed PowerPush: the §5 epoch schedule of thresholds
-    * r'_max = λ^(i/[[EpochNum]])/m, finishing at λ/m.
+  /** Distributed PowerPush: core PowerPush's §5 epoch schedule of thresholds
+    * r'_max = [[PowerPush.epochLambda]](λ, i)/m, finishing at λ/m.
     */
   def powerPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
                 lambda: Double, m: Long, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     var epoch = 1
     loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
-      var lamEpoch = math.pow(lambda, epoch.toDouble / EpochNum)
-      while (epoch < EpochNum && rsum <= lamEpoch) {
+      var lamEpoch = PowerPush.epochLambda(lambda, epoch)
+      while (epoch < PowerPush.EpochNum && rsum <= lamEpoch) {
         epoch += 1
-        lamEpoch = math.pow(lambda, epoch.toDouble / EpochNum)
+        lamEpoch = PowerPush.epochLambda(lambda, epoch)
       }
       if (rsum <= lambda) None else Some(PushKernel.rMaxFor(lamEpoch, m))
     }

@@ -11,7 +11,6 @@ class EdgeCasesSpec extends AnyFunSuite {
   private val solvers: Seq[(String, (CSRGraph, Int, Double) => PPRResult)] = Seq(
     "PowItr"     -> ((g, s, l) => PowItr.run(g, s, l, alpha)),
     "FwdPush"    -> ((g, s, l) => FwdPush.runLambda(g, s, l, alpha)),
-    "SimFwdPush" -> ((g, s, l) => SimFwdPush.run(g, s, l, alpha)),
     "PowerPush"  -> ((g, s, l) => PowerPush.run(g, s, l, alpha)),
   )
 
@@ -155,7 +154,6 @@ class EdgeCasesSpec extends AnyFunSuite {
       rejects("alpha")(PowItr.run(g, 0, 1e-8, a))
       rejects("alpha")(FwdPush.run(g, 0, 1e-4, a))
       rejects("alpha")(FwdPush.runLambda(g, 0, 1e-8, a))
-      rejects("alpha")(SimFwdPush.run(g, 0, 1e-8, a))
       rejects("alpha")(PowerPush.run(g, 0, 1e-8, a))
       rejects("alpha")(PowerPush.refineToRMax(g, 0, new Array[Double](g.n), new Array[Double](g.n), 1e-4, a, new Stats))
     }

@@ -145,7 +145,6 @@ object InvariantProps extends Properties("PPRInvariants") {
       Prop.all(
         check("PowItr")(PowItr.run(g, s, lambda, alpha))(withinLambda),
         check("FwdPush")(FwdPush.runLambda(g, s, lambda, alpha))(withinLambda),
-        check("SimFwdPush")(SimFwdPush.run(g, s, lambda, alpha))(withinLambda),
         check("PowerPush")(PowerPush.run(g, s, lambda, alpha))(withinLambda),
         check("PowerPush+refine")(PowerPush.run(g, s, lambda, alpha,
                                                 refineRMax = PushKernel.rMaxFor(lambda, g.m)))(withinLambda),

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{ExactPPR, Fig1, GraphGen}
+import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
 
 class PowerPushSpec extends AnyFunSuite {
   private val alpha = 0.2
@@ -56,25 +56,23 @@ class PowerPushSpec extends AnyFunSuite {
       s"PowerPush ${pp.stats.edgePushes} vs PowItr ${pi.stats.edgePushes}")
   }
 
-  test("scan threshold 0 forces the pure scan path, result unchanged") {
-    val g = GraphGen.randomGraph(80, 3.0, seed = 67)
-    val exact = ExactPPR.solve(g, 1, alpha)
-    val res = PowerPush.run(g, 1, 1e-9, alpha, scanThresholdFrac = 0.0)
-    assert(Common.l1Diff(res.pi, exact) <= 1e-9 + 1e-12)
+  test("a source with more than n/4 out-neighbours hands over to the scan after one push") {
+    val base = GraphGen.randomGraph(80, 3.0, seed = 67)
+    val others = (0 until 80).filter(_ != 1)
+    val g = CSRGraph.fromEdges(80,
+      others.flatMap(v => base.outNeighbors(v).map(v -> _)) ++ others.map(1 -> _)) // 1 -> every other node
+    val trace = new Trace
+    val res = PowerPush.run(g, 1, 1e-9, alpha, trace = trace, traceEvery = 1L)
+    assert(res.stats.iterations > 0)
+    assert(trace.points.length == 2 + res.stats.iterations) // e_s, one queue push, the sweeps
+    assert(Common.l1Diff(res.pi, ExactPPR.solve(g, 1, alpha)) <= 1e-9 + 1e-12)
   }
 
-  test("huge scan threshold forces the pure queue path, result unchanged") {
-    val g = GraphGen.randomGraph(80, 3.0, seed = 67)
-    val exact = ExactPPR.solve(g, 1, alpha)
-    val res = PowerPush.run(g, 1, 1e-9, alpha, scanThresholdFrac = 10.0)
-    assert(Common.l1Diff(res.pi, exact) <= 1e-9 + 1e-12)
-  }
-
-  test("epochNum = 1 (no dynamic threshold) still correct") {
-    val g = GraphGen.randomGraph(80, 3.0, seed = 68)
-    val exact = ExactPPR.solve(g, 0, alpha)
-    val res = PowerPush.run(g, 0, 1e-9, alpha, epochNum = 1)
-    assert(Common.l1Diff(res.pi, exact) <= 1e-9 + 1e-12)
+  test("a directed cycle never leaves the queue phase") {
+    val g = CSRGraph.fromEdges(10, (0 until 10).map(v => v -> (v + 1) % 10))
+    val res = PowerPush.run(g, 3, 1e-9, alpha)
+    assert(res.stats.iterations == 0)
+    assert(Common.l1Diff(res.pi, ExactPPR.solve(g, 3, alpha)) <= 1e-9 + 1e-12)
   }
 
   test("very high precision (lambda = 1e-14) converges and matches exact") {
@@ -89,8 +87,13 @@ class PowerPushSpec extends AnyFunSuite {
   test("traceEvery = 1 records one point per queue-phase push, per sweep and after refinement") {
     val g = GraphGen.scaleFree(500, 5.0, seed = 71)
     val lambda = 1e-8
-    // epochNum = 0 skips the scan phase, leaving the queue phase's counts.
-    val queue = PowerPush.run(g, 0, lambda, alpha, epochNum = 0).stats
+    // The queue phase alone: the FIFO drain at PowerPush's cap and λ.
+    val queue = new Stats
+    val (pi, r, inQueue, q) = (new Array[Double](g.n), new Array[Double](g.n), new Array[Boolean](g.n),
+      new PushKernel.IntQueue(g.n))
+    r(0) = 1.0; inQueue(0) = true; q.append(0)
+    PushKernel.drain(g, 0, pi, r, q, inQueue, PushKernel.rMaxFor(lambda, g.m), alpha, queue,
+      cap = math.max(1, g.n / 4), stopSum = lambda)
     Seq(Double.NaN, 1e-9).foreach { refine =>
       val trace = new Trace
       val st = PowerPush.run(g, 0, lambda, alpha, refineRMax = refine, trace = trace, traceEvery = 1L).stats
