@@ -56,7 +56,7 @@ class PowerPushSpec extends AnyFunSuite {
       s"PowerPush ${pp.stats.edgePushes} vs PowItr ${pi.stats.edgePushes}")
   }
 
-  test("a source with more than n/4 out-neighbours hands over to the scan after one push") {
+  test("a source with over n/4 out-neighbours goes to the scan after one push") {
     val base = GraphGen.randomGraph(80, 3.0, seed = 67)
     val others = (0 until 80).filter(_ != 1)
     val g = CSRGraph.fromEdges(80,
