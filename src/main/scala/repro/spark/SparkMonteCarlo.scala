@@ -1,66 +1,34 @@
 package repro.spark
 
-import java.util.SplittableRandom
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.{Common, MonteCarlo}
-import repro.graph.CSRGraph
+import org.apache.spark.sql.functions.col
+import repro.core.{Common, PPRResult, Stats, WalkPhase}
 
-/** The one residue-seeded walk phase (Eq. 13–14) of the Spark layer, and
-  * distributed Monte-Carlo on it.
-  *
-  * The walks are independent and pass no messages, so they need no
-  * supersteps: the CSR is broadcast once, and each task runs its walks with
-  * core [[MonteCarlo.walk]], the reference walk rule (dead ends jump back to
-  * the query source, §2). The per-walk weight lets the same phase serve
-  * plain Monte-Carlo (weight 1/W) and SpeedPPR's phase 2 (weight r(s,v)/W_v).
-  * The graph must fit in one executor's memory.
+/** The walk phase (Eq. 13–14) of the Spark layer, and distributed
+  * Monte-Carlo on it. The walks run on the driver, in core
+  * [[WalkPhase.run]], so a seed gives the local solvers' bits on any core
+  * count. The graph and the state must fit in the driver's memory.
   */
 object SparkMonteCarlo {
 
-  /** The walk phase on a push state (id, …, pi, r): every node v with r > 0
-    * issues W_v = ⌈r·W⌉ walks of weight r/W_v. The start rows are spread over
-    * the session's default parallelism, so the W walks of a single source do
-    * not run as one task. Partition p draws from the (p+1)-th `split()` of
-    * `SplittableRandom(seed)`: seed + p, as Spark's `rand(seed)` seeds its
-    * partitions, would give seeds s and s+1 the same stream in all but one
-    * partition. One `groupBy` sums the weights per stop node;
-    * materialising the sums is the phase's one action, and it also
-    * materialises `state`'s lazy checkpoint, so `state` is computed once.
-    * The broadcast is destroyed before this returns.
+  /** The walk phase on a push state (id, …, pi, r): the state's (pi, r) rows
+    * and the CSR are collected to the driver, and core [[WalkPhase.run]]
+    * issues W_v = ⌈r·W⌉ walks of weight r/W_v from every node v with r > 0.
     *
-    * @return (id, pi) for every node of `state`: π plus the stopped walks'
-    *         weights
+    * @return (id, pi) for every node: π plus the stopped walks' weights
     */
-  def walkPhase(spark: SparkSession, edges: DataFrame, n: Long, s: Long, stateIn: DataFrame,
+  def walkPhase(spark: SparkSession, edges: DataFrame, n: Long, s: Long, state: DataFrame,
                 w: Long, alpha: Double, seed: Long): DataFrame = {
-    val state = stateIn.localCheckpoint(false)
     val g = SparkGraph.fromDataFrame(edges, n.toInt)
-    val sc = spark.sparkContext
-    val csr = sc.broadcast((g.offset, g.edges))
-    val walkPi = try {
-      val stops = state
-        .where(col("r") > 0.0)
-        .withColumn("wv", ceil(col("r") * w).cast("long"))
-        .select(col("id").cast("int"), (col("r") / col("wv")).as("weight"),
-          explode(sequence(lit(1L), col("wv"))))
-        .repartition(sc.defaultParallelism)
-        .rdd
-        .mapPartitionsWithIndex { (part, rows) =>
-          val (offset, targets) = csr.value
-          val local = new CSRGraph(n.toInt, offset, targets)
-          val root = new SplittableRandom(seed)
-          val rng = Iterator.continually(root.split()).drop(part).next()
-          rows.map(row =>
-            (MonteCarlo.walk(local, s.toInt, row.getInt(0), alpha, rng).toLong, row.getDouble(1)))
-        }
-      spark.createDataFrame(stops).toDF("id", "walkPi")
-        .groupBy("id").agg(sum(col("walkPi")).as("walkPi"))
-        .localCheckpoint(eager = true)
-    } finally csr.destroy()
-    state
-      .join(walkPi, Seq("id"), "left")
-      .select(col("id"), (col("pi") + coalesce(col("walkPi"), lit(0.0))).as("pi"))
+    val pi = new Array[Double](g.n)
+    val r = new Array[Double](g.n)
+    state.select(col("id").cast("int"), col("pi"), col("r")).collect().foreach { row =>
+      pi(row.getInt(0)) = row.getDouble(1)
+      r(row.getInt(0)) = row.getDouble(2)
+    }
+    WalkPhase.run(g, s.toInt, PPRResult(pi, r, new Stats), w, alpha, seed, index = null)
+    import spark.implicits._
+    pi.indices.map(v => (v.toLong, pi(v))).toDF("id", "pi")
   }
 
   /** Plain distributed Monte-Carlo Approx-SSPPR (§6.1): the walk phase on

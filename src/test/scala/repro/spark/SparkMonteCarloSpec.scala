@@ -2,11 +2,37 @@ package repro.spark
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.{Common, MonteCarlo, PPRResult, Stats, WalkPhase}
 import repro.graph.{CSRGraph, ExactPPR, Fig1, GraphGen}
 import repro.spark.SparkJobs.jobsStarted
 
 class SparkMonteCarloSpec extends SparkSpec {
   private val alpha = 0.2
+
+  private def assertSameBits(got: Array[Double], want: Array[Double]): Unit =
+    assert(got.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+      want.map(java.lang.Double.doubleToRawLongBits).toSeq)
+
+  test("run returns core MonteCarlo.run's bits, dead ends included") {
+    val g40 = GraphGen.randomGraph(40, 3.0, seed = 124)
+    assert(g40.deadEnds.nonEmpty)
+    for (g <- Seq(Fig1.graph, g40)) withClue(s"n = ${g.n}: ") {
+      val out = SparkMonteCarlo.run(spark, SparkGraph.toDataFrame(g, spark), g.n, 0, 0.3, alpha, seed = 11)
+      assertSameBits(collectCol(out, g.n, "pi"), MonteCarlo.run(g, 0, 0.3, alpha, seed = 11).pi)
+    }
+  }
+
+  test("walkPhase on a refined state returns core WalkPhase.run's bits") {
+    val g = GraphGen.randomGraph(40, 3.0, seed = 124)
+    val edges = SparkGraph.toDataFrame(g, spark)
+    val w = Common.walkCount(g.n, 0.5)
+    val refined = SparkPPR.refine(SparkPPR.initState(spark, edges, g.n, 0), edges, 0, rMax = 0.05, alpha)
+    val core = PPRResult(collectCol(refined, g.n, "pi"), collectCol(refined, g.n, "r"), new Stats)
+    assert(core.residue.count(_ > 0.0) > 1)
+    WalkPhase.run(g, 0, core, w, alpha, seed = 11, index = null)
+    val out = SparkMonteCarlo.walkPhase(spark, edges, g.n, 0, refined, w, alpha, seed = 11)
+    assertSameBits(collectCol(out, g.n, "pi"), core.pi)
+  }
 
   test("distributed Monte-Carlo approximates exact PPR on Fig1") {
     val g = Fig1.graph

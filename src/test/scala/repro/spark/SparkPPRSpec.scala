@@ -10,12 +10,6 @@ import repro.spark.SparkJobs.jobsStarted
 class SparkPPRSpec extends SparkSpec {
   private val alpha = 0.2
 
-  private def collectCol(df: org.apache.spark.sql.DataFrame, n: Int, colName: String): Array[Double] = {
-    val out = new Array[Double](n)
-    df.select(col("id"), col(colName)).collect().foreach(r => out(r.getLong(0).toInt) = r.getDouble(1))
-    out
-  }
-
   test("initState puts residue 1 at the source and degrees everywhere") {
     val g = Fig1.graph
     val edges = SparkGraph.toDataFrame(g, spark)
@@ -132,11 +126,12 @@ class SparkPPRSpec extends SparkSpec {
 
   test("dead-end source: every entry meets lambda in a few jobs and leaves nothing cached") {
     // A dead-end source keeps all of its mass: exact PPR is e_s, and one push
-    // superstep settles it. On a 4-core local session each push entry started
-    // 5-8 jobs here (adaptive execution submits every shuffle map stage as a
-    // job), SparkMonteCarlo 7-9 and SparkSpeedPPR 11-14; spinning to the
-    // 500-superstep cap started 2 500 (powerPush) and 5 000 (SparkSpeedPPR)
-    // on n = 1. The bound leaves ~3x headroom over the largest.
+    // superstep settles it. On 2- and 4-core local sessions each push entry
+    // started 5-8 jobs here (adaptive execution submits every shuffle map
+    // stage as a job), SparkMonteCarlo 1-3 and SparkSpeedPPR 8-11; spinning
+    // to the 500-superstep cap started 2 500 (powerPush) and 5 000
+    // (SparkSpeedPPR) on n = 1. The bound leaves ~3.5x headroom over the
+    // largest.
     val maxJobs = 40
     val lambda = 1e-8
     val cache = spark.asInstanceOf[org.apache.spark.sql.classic.SparkSession].sharedState.cacheManager
