@@ -3,8 +3,8 @@ package repro.core
 import java.util.SplittableRandom
 import repro.graph.CSRGraph
 
-/** One α-random walk, and the plain Monte-Carlo Approx-SSPPR baseline
-  * (§6.1): W independent walks from s; π̂(s,v) = f(s,v)/W.
+/** The α-random walk's step rule and walk segment, and the plain Monte-Carlo
+  * Approx-SSPPR baseline (§6.1): W independent walks from s; π̂(s,v) = f(s,v)/W.
   */
 object MonteCarlo {
 
@@ -55,19 +55,6 @@ object MonteCarlo {
       v = g.edges(g.offset(v) + pick(x, d, rng))
     }
     throw new IllegalStateException("unreachable")
-  }
-
-  /** Walk one α-random walk and return the node it stops at.
-    *
-    * Semantics per §2: at the current node, stop with probability α; else
-    * move uniformly to an out-neighbor, or jump back to the *query source* s
-    * at a dead end. `start` may differ from `s`.
-    */
-  def walk(g: CSRGraph, s: Int, start: Int, alpha: Double, rng: SplittableRandom): Int = {
-    val threshold = stopThreshold(alpha)
-    var v = walkSegment(g, start, threshold, rng)
-    while (v < 0) v = walkSegment(g, s, threshold, rng)
-    v
   }
 
   /** Plain Monte-Carlo Approx-SSPPR: the walk phase on the residue vector

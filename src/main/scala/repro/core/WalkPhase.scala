@@ -20,7 +20,7 @@ object WalkPhase {
     * `pushOps`. Walks are issued in node-id order, all drawing from one
     * `SplittableRandom(seed)`; up to [[Lanes]] live walks advance one step
     * per round, and a lane whose walk stops takes the next pending walk.
-    * Each step is [[MonteCarlo.walk]]'s: one `nextLong()` read by
+    * Each step is [[MonteCarlo.walkSegment]]'s: one `nextLong()` read by
     * [[MonteCarlo.stops]] and [[MonteCarlo.pick]].
     *
     * @param index stored walks, or null for none: v's first `countOf(v)`

@@ -1,5 +1,7 @@
 package repro.graph
 
+import java.util.stream.IntStream
+
 /** Compact in-memory directed graph in CSR (compressed sparse row) layout.
   *
   * This is the storage format the paper's `PowerPush` relies on: nodes sorted
@@ -44,6 +46,9 @@ final class CSRGraph(val n: Int, val offset: Array[Int], val edges: Array[Int]) 
 
 object CSRGraph {
 
+  /** Edges per run of rows that `EdgeBuffer.toCSR` sorts as one parallel task. */
+  private final val SortRunEdges = 1 << 14
+
   /** A growable (src, dst) edge list in two primitive arrays, doubled when
     * full. `toCSR` is the one place a CSR graph is built; every generator and
     * loader feeds one of these. Duplicate edges are kept (the paper's
@@ -67,6 +72,8 @@ object CSRGraph {
 
     /** Counting-sort the edges by source into a CSR graph on ids [0, n),
       * each adjacency list sorted so the layout is deterministic in id order.
+      * The lists are disjoint, so they are sorted in parallel on the current
+      * fork-join pool.
       */
     def toCSR(n: Int): CSRGraph = {
       val offset = new Array[Int](n + 1)
@@ -83,8 +90,22 @@ object CSRGraph {
       val cursor = java.util.Arrays.copyOf(offset, n)
       i = 0
       while (i < size) { val s = src(i); edges(cursor(s)) = dst(i); cursor(s) += 1; i += 1 }
-      i = 0
-      while (i < n) { java.util.Arrays.sort(edges, offset(i), offset(i + 1)); i += 1 }
+      // Runs of whole rows of about SortRunEdges edges each; runs of equal
+      // row count would not balance, since rows differ in length.
+      val cuts = Array.newBuilder[Int]
+      cuts += 0
+      var runEnd = SortRunEdges.toLong
+      i = 1
+      while (i < n) {
+        if (offset(i) >= runEnd) { cuts += i; runEnd = offset(i).toLong + SortRunEdges }
+        i += 1
+      }
+      cuts += n
+      val firstRow = cuts.result()
+      IntStream.range(0, firstRow.length - 1).parallel().forEach { k =>
+        var v = firstRow(k)
+        while (v < firstRow(k + 1)) { java.util.Arrays.sort(edges, offset(v), offset(v + 1)); v += 1 }
+      }
       new CSRGraph(n, offset, edges)
     }
   }

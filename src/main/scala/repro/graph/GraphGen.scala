@@ -1,6 +1,7 @@
 package repro.graph
 
 import java.util.Random
+import java.util.stream.IntStream
 
 /** Deterministic synthetic graph generators.
   *
@@ -12,6 +13,12 @@ import java.util.Random
   * with probability proportional to target weight via an inverse-CDF power-law
   * draw. Directed graphs keep a small fraction of dead-end nodes so the
   * dead-end→source redirect path of the algorithms is exercised.
+  *
+  * The scale-free generators draw their targets from the stream of
+  * `java.util.Random(seed).nextDouble()`, computed in parallel blocks that
+  * jump ahead in it (see [[DrawStream]]), and accept them serially in draw
+  * order. Their graphs are therefore the same bits as one serial `Random`
+  * loop gives, at any thread count.
   */
 object GraphGen {
 
@@ -55,13 +62,95 @@ object GraphGen {
   /** Fraction of a directed stand-in's nodes forced to out-degree 0. */
   private final val DeadEndFrac = 0.01
 
-  /** Power-law target draw: returns an id in [0, n) with
+  /** Power-law target of the draw u ∈ [0, 1): an id in [0, n) with
     * P(id = k) ∝ (k+1)^(−β), via the continuous inverse CDF, β = [[Beta]].
     */
-  @inline private def powerLawDraw(rng: Random, n: Int): Int = {
-    val u = rng.nextDouble()
+  @inline private def powerLawTarget(u: Double, n: Int): Int = {
     val x = math.pow(u, 1.0 / (1.0 - Beta)) * n
     math.min(n - 1, x.toInt)
+  }
+
+  /** Draws per block of the parallel target fill. */
+  private[graph] final val BlockDraws = 1 << 12
+
+  /** Most blocks in one batch of the fill, which bounds its buffer. */
+  private final val BatchBlocks = 64
+
+  /** The draws of `new java.util.Random(seed).nextDouble()`, by index.
+    *
+    * `Random` is the 48-bit LCG x ← a·x + c (mod 2^48), a = 0x5DEECE66D,
+    * c = 0xB, started at (seed ^ a) mod 2^48; its Javadoc fixes all of it.
+    * Draw j takes LCG steps 2j+1 and 2j+2 and is (next26·2^27 + next27)·2^-53,
+    * as `Random.nextDouble` forms it. [[seek]] jumps to any draw in O(log j)
+    * by squaring the affine step (F. Brown, "Random Number Generation with
+    * Arbitrary Strides", Trans. Am. Nucl. Soc. 71, 1994), so blocks of draws
+    * can be filled on any thread with the bits of one serial `Random`.
+    */
+  private[graph] final class DrawStream(seed: Long) {
+    private final val A = 0x5DEECE66DL
+    private final val C = 0xBL
+    private final val Mask = (1L << 48) - 1
+    private final val DoubleUnit = 1.0 / (1L << 53)
+    private var x = 0L
+
+    /** Make draw j the next one. */
+    def seek(j: Long): Unit = {
+      // (a, c) is the map of 2^i steps in round i: x ← a·x + c.
+      var a = A
+      var c = C
+      var state = (seed ^ A) & Mask
+      var k = 2 * j
+      while (k != 0) {
+        if ((k & 1) != 0) state = (a * state + c) & Mask
+        c = ((a + 1) * c) & Mask
+        a = (a * a) & Mask
+        k >>>= 1
+      }
+      x = state
+    }
+    seek(0)
+
+    def next(): Double = {
+      val hi = (x * A + C) & Mask
+      x = (hi * A + C) & Mask
+      (((hi >>> 22) << 27) + (x >>> 21)) * DoubleUnit
+    }
+  }
+
+  /** The power-law targets of the draws of `seed`, read in draw order. When
+    * the buffer is used up, [[fill]] fills the next batch of whole blocks in
+    * parallel on the current fork-join pool, each block from its own
+    * [[DrawStream]] seeked to its first draw, so the targets do not depend
+    * on the thread count.
+    */
+  private final class Targets(seed: Long, n: Int) {
+    private var buf: Array[Int] = null
+    private var pos, len = 0
+    private var filled = 0L
+
+    def isEmpty: Boolean = pos == len
+
+    /** Fill the next batch, given that at least `need` ≥ 1 more targets will
+      * be read: ⌈need / [[BlockDraws]]⌉ blocks, at most [[BatchBlocks]].
+      */
+    def fill(need: Long): Unit = {
+      val blocks = math.min(BatchBlocks.toLong, (need + BlockDraws - 1) / BlockDraws).toInt
+      if (buf == null || buf.length < blocks * BlockDraws) buf = new Array[Int](blocks * BlockDraws)
+      val out = buf
+      val from = filled
+      IntStream.range(0, blocks).parallel().forEach { b =>
+        val draws = new DrawStream(seed)
+        draws.seek(from + b * BlockDraws)
+        var i = b * BlockDraws
+        val end = i + BlockDraws
+        while (i < end) { out(i) = powerLawTarget(draws.next(), n); i += 1 }
+      }
+      pos = 0
+      len = blocks * BlockDraws
+      filled += len
+    }
+
+    def next(): Int = { val t = buf(pos); pos += 1; t }
   }
 
   /** Directed scale-free graph; the top [[DeadEndFrac]] of ids (at least
@@ -72,7 +161,6 @@ object GraphGen {
     */
   def scaleFree(n: Int, avgDeg: Double, seed: Long = 42L): CSRGraph = {
     require(n >= 2 && avgDeg >= 1.0)
-    val rng = new Random(seed)
     // Node weights w_k ∝ (k+1)^(−β); out-degree of k is avgDeg·w_k/mean(w),
     // capped so a single node cannot own more than ~n/2 out-edges.
     val w = Array.tabulate(n)(k => math.pow(k + 1.0, -Beta))
@@ -82,15 +170,21 @@ object GraphGen {
       if (k >= n - nDead) 0 // highest ids become dead ends
       else math.max(1, math.min(n / 2, math.round(avgDeg * w(k) / meanW).toInt))
     }
-    val buf = new CSRGraph.EdgeBuffer(targetDeg.sum)
+    val targets = new Targets(seed, n)
+    // Node v reads at least min(d − drawn, 20d − tries) more targets, and
+    // every later node u at least d_u, whose sum is `rest`.
+    var rest = targetDeg.sum.toLong
+    val buf = new CSRGraph.EdgeBuffer(rest.toInt)
     val mark = Array.fill(n)(-1) // mark(t) == v: v already drew t
     var v = 0
     while (v < n) {
       val d = targetDeg(v)
+      rest -= d
       var drawn = 0
       var tries = 0
       while (drawn < d && tries < d * 20) {
-        val t = powerLawDraw(rng, n)
+        if (targets.isEmpty) targets.fill(rest + math.min(d - drawn, d * 20 - tries))
+        val t = targets.next()
         if (t != v && mark(t) != v) { mark(t) = v; buf.add(v, t); drawn += 1 }
         tries += 1
       }
@@ -105,20 +199,23 @@ object GraphGen {
     */
   def scaleFreeUndirected(n: Int, avgDeg: Double, seed: Long = 42L): CSRGraph = {
     require(n >= 2 && avgDeg >= 0.5)
-    val rng = new Random(seed)
     val w = Array.tabulate(n)(k => math.pow(k + 1.0, -Beta))
     val meanW = w.sum / n
     val deg = Array.tabulate(n)(v =>
       math.max(1, math.min(n / 2, math.round(avgDeg * w(v) / meanW).toInt)))
-    val pairs = new LongSet(deg.sum)
-    val buf = new CSRGraph.EdgeBuffer(2 * deg.sum)
+    val targets = new Targets(seed, n)
+    var rest = deg.sum.toLong // as in scaleFree
+    val pairs = new LongSet(rest.toInt)
+    val buf = new CSRGraph.EdgeBuffer(2 * rest.toInt)
     var v = 0
     while (v < n) {
       val d = deg(v)
+      rest -= d
       var added = 0
       var tries = 0
       while (added < d && tries < d * 20) {
-        val t = powerLawDraw(rng, n)
+        if (targets.isEmpty) targets.fill(rest + math.min(d - added, d * 20 - tries))
+        val t = targets.next()
         val key = math.min(v, t).toLong * n + math.max(v, t)
         if (t != v && pairs.add(key)) {
           buf.add(v, t); buf.add(t, v)

