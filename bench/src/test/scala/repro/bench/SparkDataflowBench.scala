@@ -10,9 +10,10 @@ import repro.spark.{SparkGraph, SparkPPR}
   * REPRO_BENCH_DATASETS picks it) and compare both wall time and result
   * agreement against the local implementations.
   *
-  * λ is relaxed to 1e-4 here: each dataflow superstep is a full shuffle, so
-  * the superstep count (log(1/λ)/log(1/(1−α))) is the cost driver; the
-  * convergence *shape* is identical to the local versions by Lemma 4.1.
+  * λ is relaxed to 1e-4 here: each superstep is one Spark job with one
+  * message shuffle, so the superstep count (log(1/λ)/log(1/(1−α))) is the
+  * cost driver; the convergence *shape* is identical to the local versions
+  * by Lemma 4.1.
   */
 class SparkDataflowBench extends SparkSpec {
 

@@ -37,7 +37,7 @@ object SparkMonteCarlo {
   def run(spark: SparkSession, edges: DataFrame, n: Long, s: Long, eps: Double,
           alpha: Double = Common.DefaultAlpha, seed: Long = 1L): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, eps = eps)
-    walkPhase(spark, edges, n, s, SparkPPR.initState(spark, edges, n, s),
+    walkPhase(spark, edges, n, s, SparkPPR.initState(spark, n, s),
       Common.walkCount(n.toInt, eps), alpha, seed)
   }
 }

@@ -1,10 +1,14 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import java.math.BigDecimal
+import scala.annotation.tailrec
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{Common, PowerPush, PushKernel}
 
-/** Distributed SSPPR as Catalyst dataflow.
+/** Distributed SSPPR as Pregel-style message passing on RDDs.
   *
   * The paper's three high-precision algorithms share one bulk-synchronous
   * primitive: *push every node active w.r.t. a threshold r_max, all at once,
@@ -18,66 +22,19 @@ import repro.core.{Common, PowerPush, PushKernel}
   *  - r_max = λ/m    → frontier forward push: distributed FIFO-FwdPush.
   *  - dynamic r_max  → distributed PowerPush (epoch schedule of §5).
   *
-  * State: DataFrame(id LONG, deg LONG, pi DOUBLE, r DOUBLE), one row per
-  * node. Dead ends (deg = 0) forward their (1−α) share to the query source.
+  * Entries take and return DataFrame(id LONG, pi DOUBLE, r DOUBLE). Inside,
+  * a vertex (id, (out-neighbours, pi, r)) holds its adjacency, vertices are
+  * hash-partitioned once by `spark.sql.shuffle.partitions`, and each
+  * destination sums its messages in ascending source order from 0.0, as
+  * `SimFwdPush.step` does, so a superstep's bits do not depend on the partitioning.
   */
 object SparkPPR {
 
+  private type Vertex = (Array[Int], Double, Double) // (out-neighbours, pi, r)
+
   /** Initial state: residue 1 at the source, 0 elsewhere. */
-  def initState(spark: SparkSession, edges: DataFrame, n: Long, s: Long): DataFrame = {
-    val deg = edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
-    spark.range(n).toDF("id")
-      .join(deg, Seq("id"), "left")
-      .select(
-        col("id"),
-        coalesce(col("deg"), lit(0L)).as("deg"),
-        lit(0.0).as("pi"),
-        when(col("id") === s, 1.0).otherwise(0.0).as("r"),
-      )
-  }
-
-  /** One synchronous push superstep at threshold `rMax`.
-    *
-    * A node is active iff r > deg·r_max (a dead end hence iff r > 0, matching
-    * the paper's convention). A dead end v ≠ s sends (1−α)·r to s as one more
-    * message (§2's conceptual dead-end edge). An active dead-end source is
-    * settled in closed form, π += r and r = 0: the limit of pushing it again
-    * on the spot, as `PowerPush.sweep` does. No Spark action runs here.
-    */
-  def pushStep(state: DataFrame, edges: DataFrame, s: Long, alpha: Double,
-               rMax: Double): DataFrame = {
-    val active = activeAt(rMax)
-    val pushing = state.where(active)
-    val msgs = pushing
-      .join(edges, col("id") === col("src"))
-      .select(col("dst").cast("long").as("id"), (lit(1.0 - alpha) * col("r") / col("deg")).as("msg"))
-      .union(pushing.where(col("deg") === 0L && col("id") =!= s)
-        .select(lit(s).as("id"), (lit(1.0 - alpha) * col("r")).as("msg")))
-      .groupBy("id").agg(sum(col("msg")).as("msg"))
-    val piShare = when(col("id") === s && col("deg") === 0L, 1.0).otherwise(alpha)
-    state
-      .join(msgs, Seq("id"), "left")
-      .select(
-        col("id"),
-        col("deg"),
-        (col("pi") + when(active, piShare * col("r")).otherwise(0.0)).as("pi"),
-        (when(active, 0.0).otherwise(col("r")) + coalesce(col("msg"), lit(0.0))).as("r"),
-      )
-  }
-
-  /** Aggregate (Σr, #active at rMax) in one pass: the superstep's one Spark
-    * action, which also materialises `state`'s lazy checkpoint.
-    */
-  def residueSummary(state: DataFrame, rMax: Double): (Double, Long) = {
-    val row = state.agg(
-      coalesce(sum(col("r")), lit(0.0)),
-      coalesce(sum(when(activeAt(rMax), 1L).otherwise(0L)), lit(0L)),
-    ).head()
-    (row.getDouble(0), row.getLong(1))
-  }
-
-  private def activeAt(rMax: Double): Column =
-    col("r") > greatest(col("deg").cast("double") * rMax, lit(Common.TinyResidue))
+  def initState(spark: SparkSession, n: Long, s: Long): DataFrame =
+    spark.range(n).select(col("id"), lit(0.0).as("pi"), when(col("id") === s, 1.0).otherwise(0.0).as("r"))
 
   private val MaxSupersteps = 500 // PowItr needs ~83 at λ = 1e-8, α = 0.2
 
@@ -85,7 +42,7 @@ object SparkPPR {
   def powItr(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
              lambda: Double, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
-    loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
+    loop(initState(spark, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
       if (rsum <= lambda) None else Some(0.0)
     }
   }
@@ -94,7 +51,7 @@ object SparkPPR {
   def fwdPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
               rMax: Double, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, rMax = rMax)
-    refine(initState(spark, edges, n, s), edges, s, rMax, alpha)
+    refine(initState(spark, n, s), edges, s, rMax, alpha)
   }
 
   /** Distributed PowerPush: core PowerPush's §5 epoch schedule of thresholds
@@ -104,7 +61,7 @@ object SparkPPR {
                 lambda: Double, m: Long, alpha: Double = Common.DefaultAlpha): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
     var epoch = 1
-    loop(initState(spark, edges, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
+    loop(initState(spark, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
       var lamEpoch = PowerPush.epochLambda(lambda, epoch)
       while (epoch < PowerPush.EpochNum && rsum <= lamEpoch) {
         epoch += 1
@@ -120,7 +77,8 @@ object SparkPPR {
     */
   def refine(stateIn: DataFrame, edges: DataFrame, s: Long, rMax: Double,
              alpha: Double = Common.DefaultAlpha): DataFrame = {
-    // No n here: the placeholder n = 1, s = 0 leaves only α and r_max checked.
+    // No n here: the placeholder n = 1, s = 0 checks α and r_max only;
+    // `loop`'s first job checks s against the state's ids.
     Common.requireArgs(1, 0, alpha, rMax = rMax)
     loop(stateIn, edges, s, alpha, rMax0 = rMax) { (nActive, _) =>
       if (nActive == 0L) None else Some(rMax)
@@ -128,31 +86,70 @@ object SparkPPR {
   }
 
   /** The one superstep loop. `next` inspects (#active at the last threshold,
-    * Σr) and returns the next threshold, or None to stop. The first call sees
-    * `stateIn`'s statistics at `rMax0`. Each state is checkpointed lazily and
-    * materialised by its [[residueSummary]]. Throws IllegalStateException if
-    * `next` still asks for a superstep after [[MaxSupersteps]].
+    * Σr) and returns the next threshold, or None to stop; its first call sees
+    * `stateIn` at `rMax0`. Each state is checkpointed lazily and materialised
+    * by its [[summary]], the one Spark job of a superstep. Throws
+    * IllegalArgumentException if s is not among `stateIn`'s ids, and
+    * IllegalStateException if `next` asks for more than [[MaxSupersteps]].
     */
-  private def loop(stateIn: DataFrame, edges: DataFrame, s: Long, alpha: Double,
-                   rMax0: Double)
+  private def loop(stateIn: DataFrame, edges: DataFrame, s: Long, alpha: Double, rMax0: Double)
                   (next: (Long, Double) => Option[Double]): DataFrame = {
-    var state = stateIn.localCheckpoint(false)
-    var iter = 0
-    var rMaxUsed = rMax0
-    var continue = true
-    while (continue) {
-      val (rsum, nActive) = residueSummary(state, rMaxUsed)
+    val spark = stateIn.sparkSession
+    val part = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
+    val adj = edges.select(col("src").cast("int"), col("dst").cast("int")).rdd
+      .map(row => (row.getInt(0), row.getInt(1)))
+    val vertices = stateIn.select(col("id").cast("int"), col("pi"), col("r")).rdd
+      .map(row => (row.getInt(0), (row.getDouble(1), row.getDouble(2))))
+      .cogroup(adj, part).flatMapValues { case (own, out) => own.map { case (pi, r) => (out.toArray, pi, r) } }
+    @tailrec def run(state: RDD[(Int, Vertex)], rMaxUsed: Double, iter: Int): RDD[(Int, Vertex)] = {
+      val (rsum, nActive, hasS) = summary(state, s, rMaxUsed)
+      require(hasS, s"source s = $s is not among the state's ids")
       next(nActive, rsum) match {
-        case None => continue = false
+        case None => state
         case Some(_) if iter == MaxSupersteps =>
           throw new IllegalStateException(s"no convergence after $iter supersteps: " +
             s"sum of residues = $rsum, $nActive nodes active at r_max = $rMaxUsed")
-        case Some(rMax) =>
-          state = pushStep(state, edges, s, alpha, rMax).localCheckpoint(false)
-          rMaxUsed = rMax
-          iter += 1
+        case Some(rMax) => run(superstep(state, s.toInt, alpha, rMax, part).localCheckpoint(), rMax, iter + 1)
       }
     }
-    state
+    spark.createDataFrame(run(vertices.localCheckpoint(), rMax0, 0)
+      .map { case (v, (_, pi, r)) => (v.toLong, pi, r) }).toDF("id", "pi", "r")
+  }
+
+  /** One synchronous push superstep at threshold `rMax`. A node is active
+    * iff [[Common.isActive]]: r > d·r_max (a dead end hence iff r > 0). An
+    * active node sends (1−α)·r/d to each out-neighbour, and a dead end
+    * v ≠ s sends (1−α)·r to s (§2's conceptual dead-end edge). An active
+    * dead-end source is settled in closed form, π += r and r = 0: the limit
+    * of pushing it again on the spot, as `PowerPush.sweep` does.
+    */
+  private def superstep(state: RDD[(Int, Vertex)], s: Int, alpha: Double, rMax: Double,
+                        part: HashPartitioner): RDD[(Int, Vertex)] = {
+    val sums = state.flatMap { case (v, (out, _, r)) =>
+      if (!Common.isActive(r, out.length, rMax) || (out.isEmpty && v == s)) Iterator.empty
+      else if (out.isEmpty) Iterator((s, (v, (1.0 - alpha) * r)))
+      else {
+        val share = (1.0 - alpha) * r / out.length
+        out.iterator.map(u => (u, (v, share)))
+      }
+    }.groupByKey(part).mapValues(_.toArray.sortBy(_._1).foldLeft(0.0)(_ + _._2))
+    state.leftOuterJoin(sums).mapPartitions(_.map { case (v, ((out, pi, r), msg)) =>
+      val sum = msg.getOrElse(0.0)
+      if (!Common.isActive(r, out.length, rMax)) (v, (out, pi, r + sum))
+      else (v, (out, pi + (if (out.isEmpty && v == s) 1.0 else alpha) * r, sum))
+    }, preservesPartitioning = true)
+  }
+
+  /** (Σr, #active at rMax, whether s is among the ids) in one Spark job. Σr is
+    * exact, per-partition BigDecimal sums added on the driver and rounded once,
+    * so it does not depend on the partitioning. It can differ in its last bit
+    * from core's left-to-right `Common.sum`.
+    */
+  private def summary(state: RDD[(Int, Vertex)], s: Long, rMax: Double): (Double, Long, Boolean) = {
+    val (rsum, nActive, hasS) = state.aggregate((BigDecimal.ZERO, 0L, false))(
+      { case ((t, k, h), (v, (out, _, r))) =>
+        (t.add(new BigDecimal(r)), if (Common.isActive(r, out.length, rMax)) k + 1 else k, h || v == s) },
+      { case ((t1, k1, h1), (t2, k2, h2)) => (t1.add(t2), k1 + k2, h1 || h2) })
+    (rsum.doubleValue, nActive, hasS)
   }
 }

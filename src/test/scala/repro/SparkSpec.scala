@@ -9,8 +9,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM. The Tier-1 command (ROADMAP.md) sets it to half of
   * MemTotal, clamped to 2–8 GiB; when it is unset, build.sbt falls back to
-  * 48g. Shuffles get one partition per core: the test graphs have
-  * 30–40 nodes, so a superstep's cost is its task count, not its data.
+  * 48g. Shuffles get one partition per core. The test graphs have
+  * 30–40 nodes, so a push superstep, one Spark job of two stages, costs the
+  * scheduling of its tasks (one per partition and stage), not its data.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

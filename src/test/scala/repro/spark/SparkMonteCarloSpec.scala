@@ -26,7 +26,7 @@ class SparkMonteCarloSpec extends SparkSpec {
     val g = GraphGen.randomGraph(40, 3.0, seed = 124)
     val edges = SparkGraph.toDataFrame(g, spark)
     val w = Common.walkCount(g.n, 0.5)
-    val refined = SparkPPR.refine(SparkPPR.initState(spark, edges, g.n, 0), edges, 0, rMax = 0.05, alpha)
+    val refined = SparkPPR.refine(SparkPPR.initState(spark, g.n, 0), edges, 0, rMax = 0.05, alpha)
     val core = PPRResult(collectCol(refined, g.n, "pi"), collectCol(refined, g.n, "r"), new Stats)
     assert(core.residue.count(_ > 0.0) > 1)
     WalkPhase.run(g, 0, core, w, alpha, seed = 11, index = null)
@@ -75,7 +75,7 @@ class SparkMonteCarloSpec extends SparkSpec {
     val piIn = Array.tabulate(g.n)(v => if (v % 3 == 0) 0.01 else 0.0)
     val rIn = Array.tabulate(g.n)(v => if (v % 4 == 1 || v == dead) 0.03 else 0.0)
     val state = spark.createDataFrame((0 until g.n).map(v =>
-      (v.toLong, g.outDegree(v).toLong, piIn(v), rIn(v)))).toDF("id", "deg", "pi", "r")
+      (v.toLong, piIn(v), rIn(v)))).toDF("id", "pi", "r")
     val out = SparkMonteCarlo.walkPhase(spark, edges, g.n, 0, state, w = 200, alpha, seed = 17)
     val piOut = new Array[Double](g.n)
     out.collect().foreach(r => piOut(r.getLong(0).toInt) = r.getDouble(1))

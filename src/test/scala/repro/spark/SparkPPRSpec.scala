@@ -10,31 +10,62 @@ import repro.spark.SparkJobs.jobsStarted
 class SparkPPRSpec extends SparkSpec {
   private val alpha = 0.2
 
-  test("initState puts residue 1 at the source and degrees everywhere") {
+  test("initState puts residue 1 at the source and 0 elsewhere") {
     val g = Fig1.graph
-    val edges = SparkGraph.toDataFrame(g, spark)
-    val st = SparkPPR.initState(spark, edges, g.n, 0)
-    val rows = st.orderBy("id").collect()
+    val rows = SparkPPR.initState(spark, g.n, 0).orderBy("id").collect()
     assert(rows.length == g.n)
-    assert(rows(0).getDouble(3) == 1.0)
-    assert(rows.map(_.getLong(1)).toSeq == (0 until g.n).map(g.outDegree(_).toLong))
-    assert(rows.drop(1).forall(_.getDouble(3) == 0.0))
+    val r = rows.map(_.getAs[Double]("r"))
+    assert(r(0) == 1.0)
+    assert(r.drop(1).forall(_ == 0.0))
   }
 
-  test("one pushStep at rMax=0 equals one PowItr iteration (oracle vs local)") {
-    val g = GraphGen.randomGraph(40, 3.0, seed = 121, allowDeadEnds = false)
+  private def bits(a: Array[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+
+  /** `body` under `spark.sql.shuffle.partitions` = k, restoring the setting. */
+  private def atPartitions[A](k: Int)(body: => A): A = {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    spark.conf.set(key, k.toLong)
+    try body finally spark.conf.set(key, saved)
+  }
+
+  private val partitionCounts = Seq(2, 3, 4)
+
+  test("powItr returns core PowItr.run's bits on 2-4 partitions") {
+    // s = 0 pushes along its out-edges. A dead-end source would not do: Spark
+    // settles it in closed form, while SimFwdPush.step pushes it.
+    val g = GraphGen.randomGraph(40, 3.0, seed = 124)
+    assert(g.outDegree(0) > 0 && g.deadEnds.nonEmpty)
     val edges = SparkGraph.toDataFrame(g, spark)
-    val st = SparkPPR.initState(spark, edges, g.n, 0)
-    val next = SparkPPR.pushStep(st, edges, 0, alpha, 0.0)
-    val rSpark = collectCol(next, g.n, "r")
-    // local reference
-    val stats = new repro.core.Stats
-    val r0 = Array.tabulate(g.n)(i => if (i == 0) 1.0 else 0.0)
-    val piLocal = new Array[Double](g.n)
-    val rLocal = repro.core.SimFwdPush.step(g, 0, r0, piLocal, alpha, stats)
-    assert(Common.l1Diff(rSpark, rLocal) < 1e-12)
-    val piSpark = collectCol(next, g.n, "pi")
-    assert(Common.l1Diff(piSpark, piLocal) < 1e-12)
+    val local = PowItr.run(g, 0, 1e-6, alpha)
+    for (k <- partitionCounts) withClue(s"$k partitions: ") {
+      val (pi, r) = atPartitions(k) {
+        val out = SparkPPR.powItr(spark, edges, g.n, 0, lambda = 1e-6, alpha = alpha)
+        (collectCol(out, g.n, "pi"), collectCol(out, g.n, "r"))
+      }
+      assert(bits(pi) == bits(local.pi))
+      assert(bits(r) == bits(local.residue))
+    }
+  }
+
+  /** π's bits from `entry` at each of [[partitionCounts]]. */
+  private def piBitsPerPartitionCount(n: Int)(entry: => DataFrame): Seq[Seq[Long]] =
+    partitionCounts.map(k => atPartitions(k)(bits(collectCol(entry, n, "pi"))))
+
+  test("powerPush gives the same bits at 2, 3 and 4 partitions") {
+    val g = GraphGen.randomGraph(40, 3.0, seed = 124)
+    val edges = SparkGraph.toDataFrame(g, spark)
+    val runs = piBitsPerPartitionCount(g.n)(
+      SparkPPR.powerPush(spark, edges, g.n, 0, lambda = 1e-6, m = g.m, alpha = alpha))
+    assert(runs.distinct.size == 1)
+  }
+
+  test("SparkSpeedPPR.run: same bits at 2, 3 and 4 partitions") {
+    val g = GraphGen.randomGraph(40, 3.0, seed = 124)
+    val edges = SparkGraph.toDataFrame(g, spark)
+    val runs = piBitsPerPartitionCount(g.n)(
+      SparkSpeedPPR.run(spark, edges, g.n, g.m, 0, eps = 0.5, alpha = alpha, seed = 11))
+    assert(runs.distinct.size == 1)
   }
 
   test("distributed PowItr matches the local exact solution") {
@@ -98,7 +129,7 @@ class SparkPPRSpec extends SparkSpec {
     val g = Fig1.graph
     val n = g.n.toLong
     val edges = SparkGraph.toDataFrame(g, spark)
-    val state = SparkPPR.initState(spark, edges, n, 0)
+    val state = SparkPPR.initState(spark, n, 0)
     // Each entry takes (s, α, x), x being its λ, ε or r_max; 0.5 is valid for
     // all three. Then the invalid sources and x values of that entry.
     val badS = Seq(-1L, n)
@@ -124,14 +155,22 @@ class SparkPPRSpec extends SparkSpec {
     assert(jobs == 0, "an entry launched a Spark job before failing")
   }
 
+  test("refine rejects a source outside the state's ids") {
+    val g = CSRGraph.fromEdges(3, Seq(0 -> 1))
+    val edges = SparkGraph.toDataFrame(g, spark)
+    val e = intercept[IllegalArgumentException] {
+      SparkPPR.refine(SparkPPR.initState(spark, g.n, 0), edges, 7, rMax = 1e-3, alpha)
+    }
+    assert(e.getMessage.contains("s = 7"))
+  }
+
   test("dead-end source: every entry meets lambda in a few jobs and leaves nothing cached") {
     // A dead-end source keeps all of its mass: exact PPR is e_s, and one push
-    // superstep settles it. On 2- and 4-core local sessions each push entry
-    // started 5-8 jobs here (adaptive execution submits every shuffle map
-    // stage as a job), SparkMonteCarlo 1-3 and SparkSpeedPPR 8-11; spinning
-    // to the 500-superstep cap started 2 500 (powerPush) and 5 000
-    // (SparkSpeedPPR) on n = 1. The bound leaves ~3.5x headroom over the
-    // largest.
+    // superstep settles it. On a 4-core local session each push entry
+    // started 2 jobs here (one per (Σr, #active) pass: before and after the
+    // superstep), SparkMonteCarlo 1 and SparkSpeedPPR 4; a loop spinning to
+    // the 500-superstep cap would start one job per superstep. The bound
+    // leaves 10x headroom over the largest.
     val maxJobs = 40
     val lambda = 1e-8
     val cache = spark.asInstanceOf[org.apache.spark.sql.classic.SparkSession].sharedState.cacheManager
@@ -146,7 +185,7 @@ class SparkPPRSpec extends SparkSpec {
         "powItr" -> (() => SparkPPR.powItr(spark, edges, n, 0, lambda, alpha)),
         "fwdPush" -> (() => SparkPPR.fwdPush(spark, edges, n, 0, rMax, alpha)),
         "powerPush" -> (() => SparkPPR.powerPush(spark, edges, n, 0, lambda, g.m, alpha)),
-        "refine" -> (() => SparkPPR.refine(SparkPPR.initState(spark, edges, n, 0), edges, 0, rMax, alpha)),
+        "refine" -> (() => SparkPPR.refine(SparkPPR.initState(spark, n, 0), edges, 0, rMax, alpha)),
         "SparkMonteCarlo.run" -> (() => SparkMonteCarlo.run(spark, edges, n, 0, 0.5, alpha)),
         "SparkSpeedPPR.run" -> (() => SparkSpeedPPR.run(spark, edges, n, g.m, 0, 0.5, alpha)),
       )
