@@ -46,14 +46,44 @@ final class CSRGraph(val n: Int, val offset: Array[Int], val edges: Array[Int]) 
 
 object CSRGraph {
 
-  /** Edges per run of rows that `EdgeBuffer.toCSR` sorts as one parallel task. */
+  /** Edges per run of rows that [[fromRows]] sorts as one parallel task. */
   private final val SortRunEdges = 1 << 14
 
+  /** Finish a CSR graph whose rows are filled but not yet sorted: sort each
+    * adjacency list, so the layout is deterministic in id order. This is the
+    * one row sort of the package: the directed generators fill `offset` and
+    * `edges` as their rows arrive and call it directly, and
+    * [[EdgeBuffer.toCSR]] ends in it. The lists are disjoint, so they are
+    * sorted in parallel on the current fork-join pool.
+    *
+    * @param offset row offsets, length n+1, with `offset(n) == edges.length`
+    * @param edges  the rows in id order, each in any order; sorted in place
+    */
+  def fromRows(n: Int, offset: Array[Int], edges: Array[Int]): CSRGraph = {
+    // Runs of whole rows of about SortRunEdges edges each; runs of equal
+    // row count would not balance, since rows differ in length.
+    val cuts = Array.newBuilder[Int]
+    cuts += 0
+    var runEnd = SortRunEdges.toLong
+    var i = 1
+    while (i < n) {
+      if (offset(i) >= runEnd) { cuts += i; runEnd = offset(i).toLong + SortRunEdges }
+      i += 1
+    }
+    cuts += n
+    val firstRow = cuts.result()
+    IntStream.range(0, firstRow.length - 1).parallel().forEach { k =>
+      var v = firstRow(k)
+      while (v < firstRow(k + 1)) { java.util.Arrays.sort(edges, offset(v), offset(v + 1)); v += 1 }
+    }
+    new CSRGraph(n, offset, edges)
+  }
+
   /** A growable (src, dst) edge list in two primitive arrays, doubled when
-    * full. `toCSR` is the one place a CSR graph is built; every generator and
-    * loader feeds one of these. Duplicate edges are kept (the paper's
-    * transition matrix is defined off the multiset of out-edges; the
-    * generators avoid duplicates anyway).
+    * full, for edges that arrive in no particular order: the undirected
+    * generator, which adds both arcs of an edge, and the loaders. Duplicate
+    * edges are kept (the paper's transition matrix is defined off the
+    * multiset of out-edges; the generators avoid duplicates anyway).
     *
     * @param capacity initial capacity in edges; a size hint, not a limit
     */
@@ -70,10 +100,8 @@ object CSRGraph {
       src(size) = s; dst(size) = d; size += 1
     }
 
-    /** Counting-sort the edges by source into a CSR graph on ids [0, n),
-      * each adjacency list sorted so the layout is deterministic in id order.
-      * The lists are disjoint, so they are sorted in parallel on the current
-      * fork-join pool.
+    /** Counting-sort the edges by source into rows on ids [0, n), then sort
+      * the rows with [[fromRows]].
       */
     def toCSR(n: Int): CSRGraph = {
       val offset = new Array[Int](n + 1)
@@ -90,23 +118,7 @@ object CSRGraph {
       val cursor = java.util.Arrays.copyOf(offset, n)
       i = 0
       while (i < size) { val s = src(i); edges(cursor(s)) = dst(i); cursor(s) += 1; i += 1 }
-      // Runs of whole rows of about SortRunEdges edges each; runs of equal
-      // row count would not balance, since rows differ in length.
-      val cuts = Array.newBuilder[Int]
-      cuts += 0
-      var runEnd = SortRunEdges.toLong
-      i = 1
-      while (i < n) {
-        if (offset(i) >= runEnd) { cuts += i; runEnd = offset(i).toLong + SortRunEdges }
-        i += 1
-      }
-      cuts += n
-      val firstRow = cuts.result()
-      IntStream.range(0, firstRow.length - 1).parallel().forEach { k =>
-        var v = firstRow(k)
-        while (v < firstRow(k + 1)) { java.util.Arrays.sort(edges, offset(v), offset(v + 1)); v += 1 }
-      }
-      new CSRGraph(n, offset, edges)
+      fromRows(n, offset, edges)
     }
   }
 

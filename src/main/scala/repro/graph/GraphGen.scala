@@ -1,6 +1,6 @@
 package repro.graph
 
-import java.util.Random
+import java.util.{Arrays, Random}
 import java.util.stream.IntStream
 
 /** Deterministic synthetic graph generators.
@@ -174,7 +174,11 @@ object GraphGen {
     // Node v reads at least min(d − drawn, 20d − tries) more targets, and
     // every later node u at least d_u, whose sum is `rest`.
     var rest = targetDeg.sum.toLong
-    val buf = new CSRGraph.EdgeBuffer(rest.toInt)
+    // Rows arrive in id order, so each is written in place as it is drawn;
+    // `edges` is trimmed only if some row ran out of tries.
+    val offset = new Array[Int](n + 1)
+    val edges = new Array[Int](rest.toInt)
+    var m = 0
     val mark = Array.fill(n)(-1) // mark(t) == v: v already drew t
     var v = 0
     while (v < n) {
@@ -185,12 +189,14 @@ object GraphGen {
       while (drawn < d && tries < d * 20) {
         if (targets.isEmpty) targets.fill(rest + math.min(d - drawn, d * 20 - tries))
         val t = targets.next()
-        if (t != v && mark(t) != v) { mark(t) = v; buf.add(v, t); drawn += 1 }
+        require(t >= 0 && t < n, s"edge ($v,$t) out of [0,$n)")
+        if (t != v && mark(t) != v) { mark(t) = v; edges(m) = t; m += 1; drawn += 1 }
         tries += 1
       }
+      offset(v + 1) = m
       v += 1
     }
-    buf.toCSR(n)
+    CSRGraph.fromRows(n, offset, if (m == edges.length) edges else Arrays.copyOf(edges, m))
   }
 
   /** Undirected scale-free graph materialized as both directed arcs, exactly
@@ -232,7 +238,11 @@ object GraphGen {
   def randomGraph(n: Int, avgDeg: Double, seed: Long = 7L,
                   allowDeadEnds: Boolean = true): CSRGraph = {
     val rng = new Random(seed)
-    val buf = new CSRGraph.EdgeBuffer(n)
+    // Rows are written in place, as in scaleFree; each row is full, so
+    // `edges` only grows to fit the next row and is trimmed at the end.
+    val offset = new Array[Int](n + 1)
+    var edges = new Array[Int](math.max(1, n))
+    var m = 0
     val mark = Array.fill(n)(-1) // mark(t) == v: v already drew t
     var v = 0
     while (v < n) {
@@ -240,14 +250,17 @@ object GraphGen {
       val base = if (allowDeadEnds && rng.nextDouble() < 0.05) 0
                  else 1 + rng.nextInt(math.max(1, (2 * avgDeg).toInt))
       val d = math.min(base, n - 1)
+      if (m + d > edges.length) edges = Arrays.copyOf(edges, math.max(2 * edges.length, m + d))
       var drawn = 0
       while (drawn < d) {
         val t = rng.nextInt(n)
-        if (t != v && mark(t) != v) { mark(t) = v; buf.add(v, t); drawn += 1 }
+        require(t >= 0 && t < n, s"edge ($v,$t) out of [0,$n)")
+        if (t != v && mark(t) != v) { mark(t) = v; edges(m) = t; m += 1; drawn += 1 }
       }
+      offset(v + 1) = m
       v += 1
     }
-    buf.toCSR(n)
+    CSRGraph.fromRows(n, offset, Arrays.copyOf(edges, m))
   }
 
   /** Open-addressing set of non-negative Long keys (linear probing; −1 marks

@@ -55,25 +55,42 @@ object SparkPPR {
   }
 
   /** Distributed PowerPush: core PowerPush's §5 epoch schedule of thresholds
-    * r'_max = [[PowerPush.epochLambda]](λ, i)/m, finishing at λ/m.
+    * r'_max = [[PowerPush.epochLambda]](λ, i)/m, finishing at λ/m. As in
+    * core [[PowerPush.run]], a `refineRMax` then keeps the same vertices
+    * pushing at that threshold until no node is active ([[refine]]'s
+    * result, on the adjacency built once).
     */
   def powerPush(spark: SparkSession, edges: DataFrame, n: Long, s: Long,
-                lambda: Double, m: Long, alpha: Double = Common.DefaultAlpha): DataFrame = {
+                lambda: Double, m: Long, alpha: Double = Common.DefaultAlpha,
+                refineRMax: Double = Double.NaN): DataFrame = {
     Common.requireArgs(n.toInt, s.toInt, alpha, lambda = lambda)
+    if (!refineRMax.isNaN) Common.requireArgs(n.toInt, s.toInt, alpha, rMax = refineRMax)
     var epoch = 1
-    loop(initState(spark, n, s), edges, s, alpha, rMax0 = 0.0) { (_, rsum) =>
-      var lamEpoch = PowerPush.epochLambda(lambda, epoch)
-      while (epoch < PowerPush.EpochNum && rsum <= lamEpoch) {
-        epoch += 1
-        lamEpoch = PowerPush.epochLambda(lambda, epoch)
+    var refining = false
+    loop(initState(spark, n, s), edges, s, alpha, rMax0 = 0.0) { (nActive, rsum) =>
+      if (refining) { if (nActive == 0L) None else Some(refineRMax) }
+      else {
+        var lamEpoch = PowerPush.epochLambda(lambda, epoch)
+        while (epoch < PowerPush.EpochNum && rsum <= lamEpoch) {
+          epoch += 1
+          lamEpoch = PowerPush.epochLambda(lambda, epoch)
+        }
+        if (rsum > lambda) Some(PushKernel.rMaxFor(lamEpoch, m))
+        else if (refineRMax.isNaN) None
+        else {
+          // #active is counted at the last epoch's threshold, so the first
+          // superstep at refineRMax may push nothing, which changes no bit.
+          refining = true
+          Some(refineRMax)
+        }
       }
-      if (rsum <= lambda) None else Some(PushKernel.rMaxFor(lamEpoch, m))
     }
   }
 
   /** Continue pushing an *existing* state at a fixed threshold until no node
-    * is active — the O(m) refinement of Lemma 4.5, used by SparkSpeedPPR to
-    * enforce r(s,v) ≤ d_v·r_max with r_max = 1/W before the walk phase.
+    * is active — the O(m) refinement of Lemma 4.5, which enforces
+    * r(s,v) ≤ d_v·r_max. [[fwdPush]] runs it from e_s; SpeedPPR runs it
+    * inside [[powerPush]] (`refineRMax`).
     */
   def refine(stateIn: DataFrame, edges: DataFrame, s: Long, rMax: Double,
              alpha: Double = Common.DefaultAlpha): DataFrame = {

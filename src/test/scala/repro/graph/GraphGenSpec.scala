@@ -34,6 +34,9 @@ class GraphGenSpec extends AnyFunSuite {
     val pinned = Seq(
       GraphGen.byName("twitter-lite").generate(42) -> (41700, 1465150, 537804176, 2015859211),
       GraphGen.byName("orkut-lite").generate(42) -> (15350, 1171252, -1830873472, -1306602460),
+      GraphGen.byName("webst-lite").generate(42) -> (5640, 46008, 1326511381, 1231278898),
+      GraphGen.byName("pokec-lite").generate(42) -> (16300, 305201, 916196764, 260601046),
+      GraphGen.byName("lj-lite").generate(42) -> (24250, 340713, -2115231205, -1513235051),
       GraphGen.byName("webst-lite-tiny").generate(42) -> (141, 1148, -962412015, -1332928194),
       GraphGen.byName("dblp-lite-tiny").generate(42) -> (158, 1060, 1050329136, -128654244),
       GraphGen.randomGraph(200, 4.0, seed = 11) -> (200, 828, -1156236617, 664386008),
@@ -53,9 +56,17 @@ class GraphGenSpec extends AnyFunSuite {
     val pinned = Seq(
       "twitter-lite" -> (41700, 1465150, 537804176, 2015859211),
       "orkut-lite" -> (15350, 1171252, -1830873472, -1306602460),
+      "lj-lite" -> (24250, 340713, -2115231205, -1513235051),
     )
     for (threads <- Seq(1, 4); (name, expected) <- pinned)
       assert(fingerprint(generateOn(threads, name)) == expected, s"$name on $threads threads")
+  }
+
+  test("a row that runs out of tries ends short") {
+    // Node 0 of this two-node graph wants one edge, and all 20 of its draws
+    // are itself; node 1 is the dead end. The stand-ins never end a row short.
+    val g = GraphGen.scaleFree(2, 1.0, seed = 620)
+    assert(g.m == 0 && g.offset.sameElements(Array(0, 0, 0)))
   }
 
   test("the draw stream jumps to the draws of java.util.Random") {

@@ -60,6 +60,26 @@ class SparkPPRSpec extends SparkSpec {
     assert(runs.distinct.size == 1)
   }
 
+  test("powerPush's refineRMax gives refine's bits after powerPush") {
+    // SpeedPPR's thresholds at ε = 0.5: λ = m/W, then r_max = 1/W.
+    val g = GraphGen.randomGraph(40, 3.0, seed = 124)
+    val edges = SparkGraph.toDataFrame(g, spark)
+    val w = Common.walkCount(g.n, 0.5)
+    val (lambda, rMax) = (g.m.toDouble / w, 1.0 / w)
+    for (k <- Seq(2, 4)) withClue(s"$k partitions: ") {
+      atPartitions(k) {
+        val pushed = SparkPPR.powerPush(spark, edges, g.n, 0, lambda, g.m, alpha)
+        val r0 = collectCol(pushed, g.n, "r")
+        assert((0 until g.n).exists(v => Common.isActive(r0(v), g.outDegree(v), rMax)),
+          "nothing left to refine")
+        val twoLoops = SparkPPR.refine(pushed, edges, 0, rMax, alpha)
+        val oneLoop = SparkPPR.powerPush(spark, edges, g.n, 0, lambda, g.m, alpha, refineRMax = rMax)
+        for (c <- Seq("pi", "r"))
+          assert(bits(collectCol(oneLoop, g.n, c)) == bits(collectCol(twoLoops, g.n, c)), c)
+      }
+    }
+  }
+
   test("SparkSpeedPPR.run: same bits at 2, 3 and 4 partitions") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 124)
     val edges = SparkGraph.toDataFrame(g, spark)
@@ -137,6 +157,8 @@ class SparkPPRSpec extends SparkSpec {
       ("powItr", (s, a, x) => SparkPPR.powItr(spark, edges, n, s, x, a), badS, Seq(0.0)),
       ("fwdPush", (s, a, x) => SparkPPR.fwdPush(spark, edges, n, s, x, a), badS, Seq(0.0)),
       ("powerPush", (s, a, x) => SparkPPR.powerPush(spark, edges, n, s, x, g.m, a), badS, Seq(0.0)),
+      ("powerPush's refineRMax",
+        (s, a, x) => SparkPPR.powerPush(spark, edges, n, s, 0.5, g.m, a, refineRMax = x), badS, Seq(0.0)),
       ("refine", (_, a, x) => SparkPPR.refine(state, edges, 0, x, a), Nil, Seq(0.0)),
       ("SparkMonteCarlo.run", (s, a, x) => SparkMonteCarlo.run(spark, edges, n, s, x, a),
         badS, Seq(0.0, 1.0)),
@@ -168,7 +190,7 @@ class SparkPPRSpec extends SparkSpec {
     // A dead-end source keeps all of its mass: exact PPR is e_s, and one push
     // superstep settles it. On a 4-core local session each push entry
     // started 2 jobs here (one per (Σr, #active) pass: before and after the
-    // superstep), SparkMonteCarlo 1 and SparkSpeedPPR 4; a loop spinning to
+    // superstep), SparkMonteCarlo 1 and SparkSpeedPPR 3-4; a loop spinning to
     // the 500-superstep cap would start one job per superstep. The bound
     // leaves 10x headroom over the largest.
     val maxJobs = 40
