@@ -14,7 +14,7 @@ object SparkPPRJob {
   def main(args: Array[String]): Unit = {
     val dsName = args.headOption.getOrElse("dblp-lite")
     val lambda = args.lift(1).map(_.toDouble).getOrElse(1e-4)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-sparkppr")
       .getOrCreate()

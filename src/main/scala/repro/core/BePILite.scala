@@ -59,6 +59,7 @@ object BePILite {
   def preprocess(g: CSRGraph, hubCount: Int,
                  alpha: Double = Common.DefaultAlpha,
                  delta: Double = Double.NaN): Index = {
+    Common.requireAlpha(alpha)
     require(delta.isNaN || delta > 0.0, s"delta = $delta is not > 0")
     val t0 = System.nanoTime()
     val n = g.n
@@ -74,6 +75,7 @@ object BePILite {
     // Schur S = A22 − A21·A11⁻¹·A12, assembled column by hub column.
     val schur = Array.fill(h)(new Array[Double](h)) // schur(row)(col)
     val col = new Array[Double](n)                  // dense work vectors
+    val sj = new Array[Double](h)                   // S[:,j]
     var j = 0
     while (j < h) {
       val hj = hubs(j)
@@ -87,31 +89,41 @@ object BePILite {
       }
       // Split: spoke rows form A12[:,j] (to be hit with A11⁻¹), hub rows
       // (plus the diagonal 1) form A22[:,j].
-      var i = 0
-      while (i < h) { schur(i)(j) = if (i == j) 1.0 else 0.0; i += 1 }
+      java.util.Arrays.fill(sj, 0.0)
+      sj(j) = 1.0
       v = 0
       while (v < n) {
-        if (hubIdx(v) >= 0 && col(v) != 0.0) { schur(hubIdx(v))(j) += col(v); col(v) = 0.0 }
+        if (hubIdx(v) >= 0 && col(v) != 0.0) { sj(hubIdx(v)) += col(v); col(v) = 0.0 }
         v += 1
       }
       // y = A11⁻¹ · A12[:,j]  (col now holds only spoke rows)
       val y = solveSpoke(g, hubIdx, col, alpha, dEff, null)
-      // S[:,j] −= A21·y : A21[i,v] = −(1−α)/d_v for spoke v → hub_i.
-      v = 0
-      while (v < n) {
-        if (hubIdx(v) < 0 && y(v) != 0.0) {
-          val d = g.outDegree(v)
-          if (d > 0) {
-            val w = (1.0 - alpha) * y(v) / d
-            g.foreachOut(v)(u => if (hubIdx(u) >= 0) schur(hubIdx(u))(j) += w)
-          }
-        }
-        v += 1
-      }
+      // S[:,j] = A22[:,j] − A21·y
+      subtractA21(g, hubIdx, y, alpha, sj)
+      var i = 0
+      while (i < h) { schur(i)(j) = sj(i); i += 1 }
       j += 1
     }
     new Index(g, alpha, dEff, hubs, hubIdx, schur,
               (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** out −= A21·y, with A21[i,v] = −(1−α)/d_v for each edge spoke v → hub_i;
+    * `out` is indexed by hub position.
+    */
+  private def subtractA21(g: CSRGraph, hubIdx: Array[Int], y: Array[Double], alpha: Double,
+                          out: Array[Double]): Unit = {
+    var v = 0
+    while (v < g.n) {
+      if (hubIdx(v) < 0 && y(v) != 0.0) {
+        val d = g.outDegree(v)
+        if (d > 0) {
+          val w = (1.0 - alpha) * y(v) / d
+          g.foreachOut(v)(u => if (hubIdx(u) >= 0) out(hubIdx(u)) += w)
+        }
+      }
+      v += 1
+    }
   }
 
   private val MaxIterations = 10000 // the step shrinks like (1 − α)^k: k ≈ 124 reaches 1e-12 at α = 0.2
@@ -168,24 +180,12 @@ object BePILite {
     val alpha = index.alpha
     val stats = new Stats
     val b1 = new Array[Double](n)
-    val b2 = new Array[Double](h)
-    if (index.hubIdx(s) >= 0) b2(index.hubIdx(s)) = alpha else b1(s) = alpha
+    val rhs2 = new Array[Double](h) // b2, then b2 − A21·z
+    if (index.hubIdx(s) >= 0) rhs2(index.hubIdx(s)) = alpha else b1(s) = alpha
 
     // z = A11⁻¹ b1
     val z = solveSpoke(g, index.hubIdx, b1, alpha, index.delta, stats)
-    // rhs2 = b2 − A21·z
-    val rhs2 = b2.clone()
-    var v = 0
-    while (v < n) {
-      if (index.hubIdx(v) < 0 && z(v) != 0.0) {
-        val d = g.outDegree(v)
-        if (d > 0) {
-          val w = (1.0 - alpha) * z(v) / d
-          g.foreachOut(v)(u => if (index.hubIdx(u) >= 0) rhs2(index.hubIdx(u)) += w)
-        }
-      }
-      v += 1
-    }
+    subtractA21(g, index.hubIdx, z, alpha, rhs2)
     // x2 = S⁻¹ rhs2 (dense, h ≤ a few hundred)
     val x2 = Common.gaussianSolve(index.schur.map(_.clone()), rhs2)
     // x1 = A11⁻¹ (b1 − A12·x2)
@@ -207,7 +207,7 @@ object BePILite {
     while (i < h) { x(index.hubs(i)) = x2(i); i += 1 }
     val sum = Common.sum(x)
     require(sum > 0.0, "BePILite produced a non-positive solution mass")
-    v = 0
+    var v = 0
     while (v < n) { x(v) /= sum; v += 1 }
     PPRResult(x, new Array[Double](n), stats)
   }

@@ -56,11 +56,17 @@ object Common {
   def requireArgs(n: Int, s: Int, alpha: Double,
                   lambda: Double = 1.0, eps: Double = 0.5, rMax: Double = 1.0): Unit = {
     require(s >= 0 && s < n, s"source s = $s is outside [0, $n)")
-    require(alpha > 0.0 && alpha < 1.0, s"alpha = $alpha is outside (0, 1)")
+    requireAlpha(alpha)
     require(lambda > 0.0, s"lambda = $lambda is not > 0")
     require(eps > 0.0 && eps < 1.0, s"eps = $eps is outside (0, 1)")
     require(rMax > 0.0, s"r_max = $rMax is not > 0")
   }
+
+  /** [[requireArgs]]' α check alone, for the entries that take no source:
+    * the index builders, whose walks at α = 0 never stop.
+    */
+  def requireAlpha(alpha: Double): Unit =
+    require(alpha > 0.0 && alpha < 1.0, s"alpha = $alpha is outside (0, 1)")
 
   /** High-precision ℓ1 threshold: λ = min(1/m, 1e-8) (§8.1). */
   def defaultLambda(m: Long): Double = math.min(1.0 / m, 1e-8)

@@ -46,6 +46,7 @@ object WalkIndex {
     */
   def build(g: CSRGraph, walksFor: Int => Int,
             alpha: Double = Common.DefaultAlpha, seed: Long = 99L): WalkIndex = {
+    Common.requireAlpha(alpha)
     val offsets = new Array[Long](g.n + 1)
     var v = 0
     while (v < g.n) { offsets(v + 1) = offsets(v) + math.max(0, walksFor(v)); v += 1 }
@@ -53,16 +54,7 @@ object WalkIndex {
     require(total <= Int.MaxValue, s"index too large: $total walks")
     val endpoints = new Array[Int](total.toInt)
     // Block b covers nodes firstNode(b) until firstNode(b + 1).
-    val cuts = Array.newBuilder[Int]
-    cuts += 0
-    var blockEnd = BlockWalks.toLong
-    v = 1
-    while (v < g.n) {
-      if (offsets(v) >= blockEnd) { cuts += v; blockEnd = offsets(v) + BlockWalks }
-      v += 1
-    }
-    cuts += g.n
-    val firstNode = cuts.result()
+    val firstNode = CSRGraph.cutRuns(g.n, offsets(_), BlockWalks)
     val blocks = firstNode.length - 1
     val streams = new SplittableRandom(seed)
     val rngs = Array.tabulate(blocks)(b => if (b == 0) new SplittableRandom(seed) else streams.split())

@@ -60,23 +60,33 @@ object CSRGraph {
     * @param edges  the rows in id order, each in any order; sorted in place
     */
   def fromRows(n: Int, offset: Array[Int], edges: Array[Int]): CSRGraph = {
-    // Runs of whole rows of about SortRunEdges edges each; runs of equal
-    // row count would not balance, since rows differ in length.
-    val cuts = Array.newBuilder[Int]
-    cuts += 0
-    var runEnd = SortRunEdges.toLong
-    var i = 1
-    while (i < n) {
-      if (offset(i) >= runEnd) { cuts += i; runEnd = offset(i).toLong + SortRunEdges }
-      i += 1
-    }
-    cuts += n
-    val firstRow = cuts.result()
+    // Runs of equal row count would not balance, since rows differ in length.
+    val firstRow = cutRuns(n, offset(_), SortRunEdges)
     IntStream.range(0, firstRow.length - 1).parallel().forEach { k =>
       var v = firstRow(k)
       while (v < firstRow(k + 1)) { java.util.Arrays.sort(edges, offset(v), offset(v + 1)); v += 1 }
     }
     new CSRGraph(n, offset, edges)
+  }
+
+  /** Cut rows 0 until n into runs of whole rows of about `size` each. Row v
+    * starts at `start(v)` of a prefix sum with `start(0) == 0`, and a new run
+    * begins at the first row that starts `size` or more past the current
+    * run's start.
+    *
+    * @return the first row of each run, then n
+    */
+  private[repro] def cutRuns(n: Int, start: Int => Long, size: Long): Array[Int] = {
+    val cuts = Array.newBuilder[Int]
+    cuts += 0
+    var runEnd = size
+    var v = 1
+    while (v < n) {
+      if (start(v) >= runEnd) { cuts += v; runEnd = start(v) + size }
+      v += 1
+    }
+    cuts += n
+    cuts.result()
   }
 
   /** A growable (src, dst) edge list in two primitive arrays, doubled when

@@ -18,7 +18,7 @@ object ExactPPR {
   def solve(g: CSRGraph, s: Int, alpha: Double = Common.DefaultAlpha): Array[Double] = {
     val n = g.n
     require(n <= 2000, s"ExactPPR is dense O(n^3); n=$n too large")
-    require(s >= 0 && s < n)
+    Common.requireArgs(n, s, alpha)
     // A = I − (1−α)·Pᵀ  (column v of Pᵀ is the out-distribution of v)
     val a = Array.fill(n)(new Array[Double](n))
     var v = 0

@@ -234,9 +234,10 @@ object GraphGen {
     buf.toCSR(n)
   }
 
-  /** Uniform random directed graph (Erdős–Rényi-ish), for property tests. */
-  def randomGraph(n: Int, avgDeg: Double, seed: Long = 7L,
-                  allowDeadEnds: Boolean = true): CSRGraph = {
+  /** Uniform random directed graph (Erdős–Rényi-ish), for property tests;
+    * about one node in 20 is a dead end.
+    */
+  def randomGraph(n: Int, avgDeg: Double, seed: Long = 7L): CSRGraph = {
     val rng = new Random(seed)
     // Rows are written in place, as in scaleFree; each row is full, so
     // `edges` only grows to fit the next row and is trimmed at the end.
@@ -247,7 +248,7 @@ object GraphGen {
     var v = 0
     while (v < n) {
       // Poisson-ish degree via geometric trials around avgDeg.
-      val base = if (allowDeadEnds && rng.nextDouble() < 0.05) 0
+      val base = if (rng.nextDouble() < 0.05) 0
                  else 1 + rng.nextInt(math.max(1, (2 * avgDeg).toInt))
       val d = math.min(base, n - 1)
       if (m + d > edges.length) edges = Arrays.copyOf(edges, math.max(2 * edges.length, m + d))

@@ -191,7 +191,7 @@ object Harness {
     val thresholds = Seq(1e-2, 1e-4, 1e-6, 1e-8)
     def pushesAt(trace: Trace): Seq[String] =
       thresholds.map { t =>
-        trace.points.find(_._2 <= t).map(p => (p._1 / 1e6).formatted("%.1fM")).getOrElse("-")
+        trace.points.find(_._2 <= t).map(p => f"${p._1 / 1e6}%.1fM").getOrElse("-")
       }
     val rows = bundles.flatMap { b =>
       val s = b.sources.head

@@ -1,12 +1,16 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.Common
+import org.apache.spark.sql.functions.col
+import repro.core.{Common, PPRResult, Stats, WalkPhase}
 
 /** Distributed SpeedPPR (Algorithm 4): SparkPPR.powerPush with λ = max(m, 1)/W
-  * and its refinement to r_max = 1/W, in one superstep loop, then
-  * [[SparkMonteCarlo.walkPhase]] on the leftover residues: each node v seeds
-  * W_v = ⌈r·W⌉ ≤ d_v walks of weight r/W_v (Eq. 13 with the FORA estimator).
+  * and its refinement to r_max = 1/W, in one superstep loop, then the walk
+  * phase (Eq. 13–14) on the driver: the pushed state and the CSR are
+  * collected, and core [[WalkPhase.run]] has each node v seed
+  * W_v = ⌈r·W⌉ ≤ d_v walks of weight r/W_v (the FORA estimator). So a seed
+  * gives the same bits on any core count, and the graph and the state must
+  * fit in the driver's memory.
   */
 object SparkSpeedPPR {
 
@@ -17,6 +21,15 @@ object SparkSpeedPPR {
     val w = Common.walkCount(n.toInt, eps)
     val pushed = SparkPPR.powerPush(spark, edges, n, s, math.max(m, 1L).toDouble / w, m, alpha,
       refineRMax = 1.0 / w)
-    SparkMonteCarlo.walkPhase(spark, edges, n, s, pushed, w, alpha, seed)
+    val g = SparkGraph.fromDataFrame(edges, n.toInt)
+    val pi = new Array[Double](g.n)
+    val r = new Array[Double](g.n)
+    pushed.select(col("id").cast("int"), col("pi"), col("r")).collect().foreach { row =>
+      pi(row.getInt(0)) = row.getDouble(1)
+      r(row.getInt(0)) = row.getDouble(2)
+    }
+    WalkPhase.run(g, s.toInt, PPRResult(pi, r, new Stats), w, alpha, seed, index = null)
+    import spark.implicits._
+    pi.indices.map(v => (v.toLong, pi(v))).toDF("id", "pi")
   }
 }

@@ -182,6 +182,16 @@ class EdgeCasesSpec extends AnyFunSuite {
     }
     rejects("source s")(BePILite.query(BePILite.preprocess(g, 1, alpha), g.n))
     Seq(0.0, -1e-9).foreach(d => rejects("delta")(BePILite.preprocess(g, 1, alpha, delta = d)))
+    // The index builders and the ground truth. Unchecked, α = 1 builds and
+    // α = 0 walks forever, so α = 0 comes last.
+    Seq(1.0, 0.0).foreach { a =>
+      rejects("alpha")(WalkIndex.build(g, _ => 1, a))
+      rejects("alpha")(WalkIndex.buildFora(g, 0.5, a))
+      rejects("alpha")(WalkIndex.buildSpeedPPR(g, a))
+      rejects("alpha")(BePILite.preprocess(g, 1, a))
+      rejects("alpha")(ExactPPR.solve(g, 0, a))
+    }
+    rejects("source s")(ExactPPR.solve(g, g.n, alpha))
   }
 
   test("isActive semantics") {

@@ -160,8 +160,6 @@ class SparkPPRSpec extends SparkSpec {
       ("powerPush's refineRMax",
         (s, a, x) => SparkPPR.powerPush(spark, edges, n, s, 0.5, g.m, a, refineRMax = x), badS, Seq(0.0)),
       ("refine", (_, a, x) => SparkPPR.refine(state, edges, 0, x, a), Nil, Seq(0.0)),
-      ("SparkMonteCarlo.run", (s, a, x) => SparkMonteCarlo.run(spark, edges, n, s, x, a),
-        badS, Seq(0.0, 1.0)),
       ("SparkSpeedPPR.run", (s, a, x) => SparkSpeedPPR.run(spark, edges, n, g.m, s, x, a),
         badS, Seq(0.0, 1.0)),
     )
@@ -190,7 +188,7 @@ class SparkPPRSpec extends SparkSpec {
     // A dead-end source keeps all of its mass: exact PPR is e_s, and one push
     // superstep settles it. On a 4-core local session each push entry
     // started 2 jobs here (one per (Σr, #active) pass: before and after the
-    // superstep), SparkMonteCarlo 1 and SparkSpeedPPR 3-4; a loop spinning to
+    // superstep) and SparkSpeedPPR 3-4; a loop spinning to
     // the 500-superstep cap would start one job per superstep. The bound
     // leaves 10x headroom over the largest.
     val maxJobs = 40
@@ -208,7 +206,6 @@ class SparkPPRSpec extends SparkSpec {
         "fwdPush" -> (() => SparkPPR.fwdPush(spark, edges, n, 0, rMax, alpha)),
         "powerPush" -> (() => SparkPPR.powerPush(spark, edges, n, 0, lambda, g.m, alpha)),
         "refine" -> (() => SparkPPR.refine(SparkPPR.initState(spark, n, 0), edges, 0, rMax, alpha)),
-        "SparkMonteCarlo.run" -> (() => SparkMonteCarlo.run(spark, edges, n, 0, 0.5, alpha)),
         "SparkSpeedPPR.run" -> (() => SparkSpeedPPR.run(spark, edges, n, g.m, 0, 0.5, alpha)),
       )
       for ((name, entry) <- entries) withClue(s"$name on n = ${g.n}, m = ${g.m}: ") {

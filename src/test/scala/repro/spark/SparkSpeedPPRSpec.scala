@@ -2,11 +2,25 @@ package repro.spark
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.Common
+import repro.core.{Common, PPRResult, Stats, WalkPhase}
 import repro.graph.{ExactPPR, GraphGen}
 
 class SparkSpeedPPRSpec extends SparkSpec {
   private val alpha = 0.2
+
+  test("run returns core WalkPhase.run's bits on powerPush's state") {
+    val g = GraphGen.randomGraph(40, 3.0, seed = 124)
+    assert(g.deadEnds.nonEmpty)
+    val edges = SparkGraph.toDataFrame(g, spark)
+    val w = Common.walkCount(g.n, 0.5)
+    val pushed = SparkPPR.powerPush(spark, edges, g.n, 0, g.m.toDouble / w, g.m, alpha, refineRMax = 1.0 / w)
+    val core = PPRResult(collectCol(pushed, g.n, "pi"), collectCol(pushed, g.n, "r"), new Stats)
+    assert(core.residue.count(_ > 0.0) > 1)
+    WalkPhase.run(g, 0, core, w, alpha, seed = 11, index = null)
+    val out = SparkSpeedPPR.run(spark, edges, g.n, g.m, 0, eps = 0.5, alpha = alpha, seed = 11)
+    assert(collectCol(out, g.n, "pi").map(java.lang.Double.doubleToRawLongBits).toSeq ==
+      core.pi.map(java.lang.Double.doubleToRawLongBits).toSeq)
+  }
 
   test("distributed SpeedPPR sums to 1 and is close to exact") {
     val g = GraphGen.randomGraph(40, 3.0, seed = 141)
